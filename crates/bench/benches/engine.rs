@@ -64,7 +64,7 @@ fn bench_engine(c: &mut Criterion) {
     }
 
     // Compiled row-sweep backend: the same kernel authored as a
-    // KernelExpr, lowered to stack bytecode, swept over lane chunks.
+    // KernelExpr, lowered to a register program, swept over lane chunks.
     let kernel = CompiledKernel::for_benchmark(&bench)
         .expect("compile")
         .expect("DENOISE carries an expression");

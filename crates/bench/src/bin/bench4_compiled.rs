@@ -3,11 +3,13 @@
 //! publishes and gates on.
 //!
 //! Runs the same plan through the original closure datapath and the
-//! compiled row-sweep backend, in-core and streaming, best of three
-//! runs each — then sweeps the compiled in-core configuration over
-//! unroll factors U in {1, 2, 4, 8} on both the f64 and the f32
-//! datapath. All f64 output buffers must agree bit-for-bit, the f32
-//! runs must stay inside the benchmark's declared relative tolerance
+//! compiled backend's register-program row sweep (U=1), in-core and
+//! streaming, best of three runs each — then sweeps the compiled
+//! in-core configuration over unroll factors U in {1, 2, 4, 8} on both
+//! the f64 and the f32 datapath. Every U, 1 included, runs the same
+//! register interpreter, so the per-U columns isolate the unrolling.
+//! All f64 output buffers must agree bit-for-bit, the f32 runs must
+//! stay inside the benchmark's declared relative tolerance
 //! (`Benchmark::f32_rtol`), every telemetry report must pass the
 //! runtime bound validator, and two throughput gates hold: the
 //! compiled backend must not be slower than the closure it replaces,

@@ -140,7 +140,7 @@ fn append_bound_checks(out: &mut String, report: &MetricsReport) -> usize {
 /// The datapath is the spec-file fallback (plain window sum), since a
 /// spec file carries window geometry but no arithmetic. With
 /// `backend == Compiled` (the default) the sum is authored as a
-/// [`KernelExpr`], compiled to stack bytecode validated against the
+/// [`KernelExpr`], compiled to a register program validated against the
 /// closure, and executed through the vectorized row sweep; `Closure`
 /// keeps the original per-window call. `unroll` sets the compiled
 /// sweep's outputs-per-dispatch; `datapath` its arithmetic width — f32
@@ -232,7 +232,7 @@ pub fn cmd_engine(
     let input = InputGrid::new(&in_idx, in_vals)?;
     let compute = stencil_kernels::default_compute();
 
-    // The spec-file datapath as an expression: compile it to bytecode,
+    // The spec-file datapath as an expression: compile it to a program,
     // validated bit-for-bit against the closure it mirrors.
     let kernel = CompiledKernel::compile_checked(
         &KernelExpr::window_sum(spec.window_size()),
@@ -245,7 +245,7 @@ pub fn cmd_engine(
         Some(n) => ExecMode::Tiled { tiles: n },
     };
     // f32 always routes through the compiled expression: under the
-    // Closure backend it runs the scalar f32 bytecode, so both backends
+    // Closure backend it runs the scalar f32 register pass, so both backends
     // stay available for cross-checking at either width.
     let session_kernel = match (backend, datapath) {
         (KernelBackend::Compiled, _) | (_, Datapath::F32) => SessionKernel::Compiled(&kernel),
@@ -323,7 +323,7 @@ pub fn cmd_engine(
     if crosscheck {
         // Run the *other* backend over the same plan. On f64 the
         // backends must agree bit for bit; on f32 the unrolled lane
-        // program and the scalar f32 bytecode are compared within the
+        // program and the scalar f32 register pass are compared within the
         // verification tolerance.
         let other_backend = match backend {
             KernelBackend::Compiled => KernelBackend::Closure,

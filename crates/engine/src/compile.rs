@@ -1,25 +1,25 @@
 //! Plan-time kernel compilation: [`stencil_kernels::KernelExpr`] →
-//! flat stack bytecode → vectorized row sweeps.
+//! folded expression → SSA register program → vectorized row sweeps.
 //!
 //! The closure datapath costs one indirect `Fn(&[f64]) -> f64` call and
 //! one window gather *per output element*. This module removes both:
 //!
-//! * **compile** — the expression tree is lowered once per run to a
-//!   flat postorder bytecode ([`Op`] sequence) with constant folding
+//! * **compile** — the expression tree is lowered once per run to the
+//!   register program of [`crate::unroll`], with constant folding
 //!   (pure-constant subtrees collapse to literals), common-subexpression
-//!   elimination (structurally equal non-leaf subtrees evaluate once
-//!   into a slot), and mul-add fusion (`x + a*b` dispatches as one
-//!   [`Op::MulAdd`] — a *dispatch* fusion that still rounds the product
-//!   and the sum separately, so results stay bit-identical);
+//!   elimination (structurally equal subtrees share one register), and
+//!   mul-add fusion (`x + a*b` dispatches as one op — a *dispatch*
+//!   fusion that still rounds the product and the sum separately, so
+//!   results stay bit-identical);
 //! * **validate** — [`CompiledKernel::compile_checked`] replays the
-//!   bytecode against the reference closure on a battery of windows at
+//!   program against the reference closure on a battery of windows at
 //!   construction, so a mis-transcribed expression fails loudly before
 //!   any output is produced;
-//! * **sweep** — [`CompiledKernel::sweep`] evaluates the bytecode over
-//!   [`LANES`]-wide chunks of a whole output row, each tap bound to a
-//!   column-shifted contiguous slice of the resident input rows. One
-//!   opcode dispatch covers [`LANES`] elements and the per-lane loops
-//!   run over fixed-width arrays the autovectorizer turns into SIMD.
+//! * **sweep** — the row executor runs the program over [`LANES`]-wide
+//!   chunks of a whole output row, each tap bound to a column-shifted
+//!   contiguous slice of the resident input rows. One op dispatch
+//!   covers [`LANES`] elements and the per-lane loops run over
+//!   fixed-width arrays the autovectorizer turns into SIMD.
 //!
 //! Evaluation order is exactly the expression's association order, which
 //! the suite expressions in turn copy from their closures — the chain
@@ -32,12 +32,13 @@ use std::str::FromStr;
 use stencil_kernels::{Benchmark, KernelExpr};
 
 use crate::error::EngineError;
+use crate::unroll::RegProgram;
 
 /// Selects how the engine evaluates the kernel datapath.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum KernelBackend {
-    /// Evaluate compiled bytecode with vectorized row sweeps on interior
-    /// rows (the default when a [`CompiledKernel`] is supplied).
+    /// Evaluate the compiled register program with vectorized row sweeps
+    /// on interior rows (the default when a [`CompiledKernel`] is supplied).
     #[default]
     Compiled,
     /// Evaluate one element at a time through the per-window call — the
@@ -79,7 +80,8 @@ impl FromStr for KernelBackend {
 /// Arithmetic precision of the compiled sweep datapath.
 ///
 /// `F64` is the bit-exact reference: every backend (closure, scalar
-/// bytecode, vectorized sweep, unrolled sweep) produces identical bits.
+/// register pass, vectorized sweep, unrolled sweep) produces identical
+/// bits.
 /// `F32` narrows constants and taps to single precision at the kernel
 /// boundary — grids stay `f64` in memory, values narrow on load and
 /// widen on store — trading bit-exactness for double the arithmetic
@@ -125,70 +127,28 @@ impl FromStr for Datapath {
     }
 }
 
-/// Lanes per bytecode dispatch in [`CompiledKernel::sweep`]: the
-/// dispatch overhead of one op amortizes over 32 elements (four
-/// AVX2 / two AVX-512 vectors per inner loop) while a full-depth lane
-/// stack still fits L1. Measured on DENOISE 768×1024, 32 beats 8 by
-/// ~40% and 64/128 regress as the lane stack outgrows the cache-hot
-/// working set.
+/// Lanes per register-op dispatch in the row sweep: the dispatch
+/// overhead of one op amortizes over 32 elements (four AVX2 / two
+/// AVX-512 vectors per inner loop) while the lane registers stay
+/// cache-hot. Measured on DENOISE 768×1024, 32 beats 8 by ~40% and
+/// 64/128 regress as the lane working set outgrows the cache.
 pub(crate) const LANES: usize = 32;
 
-/// Maximum operand-stack depth a compiled kernel may need. Postorder
-/// evaluation of left-leaning reduction chains needs depth ~2, fully
-/// balanced trees depth `log2(taps)`; 32 leaves enormous headroom while
-/// keeping the sweep's lane stack a fixed 8 KiB.
-const MAX_STACK: usize = 32;
-
-/// Maximum CSE slots (distinct shared subexpressions).
-const MAX_SLOTS: usize = 16;
-
-/// One bytecode operation. The machine is a pure postorder stack
-/// evaluator: leaves push, operators pop their operands and push the
-/// result, `Store`/`Load` spill shared subexpressions to slots.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Op {
-    /// Push the window value of tap `k`.
-    Tap(u16),
-    /// Push a literal.
-    Const(f64),
-    /// Push slot `s`.
-    Load(u16),
-    /// Copy the stack top into slot `s` (value stays on the stack).
-    Store(u16),
-    /// Pop `b`, `a`; push `a + b`.
-    Add,
-    /// Pop `b`, `a`; push `a - b`.
-    Sub,
-    /// Pop `b`, `a`; push `a * b`.
-    Mul,
-    /// Pop `b`, `a`; push `a / b`.
-    Div,
-    /// Replace the top with its square root.
-    Sqrt,
-    /// Replace the top with its absolute value.
-    Abs,
-    /// Pop `b`, `a`; replace the new top `acc` with `acc + a * b`,
-    /// rounding the product and sum separately (no FMA contraction).
-    MulAdd,
-}
-
-/// A kernel datapath lowered to stack bytecode, ready for per-window
-/// evaluation ([`CompiledKernel::eval`]) or vectorized row sweeps (the
-/// engine's `Compiled` backend).
+/// A kernel datapath lowered to its one-output register program, ready
+/// for per-window evaluation ([`CompiledKernel::eval`]) or vectorized
+/// row sweeps (the engine's `Compiled` backend).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledKernel {
-    ops: Vec<Op>,
     taps: usize,
-    slots: usize,
-    max_stack: usize,
     /// The folded source expression — retained so the unrolled
     /// multi-output compiler ([`crate::unroll`]) can re-lower it across
-    /// output positions without decompiling the bytecode.
+    /// output positions, and as its validation reference.
     expr: KernelExpr,
+    program: RegProgram,
 }
 
 // ---------------------------------------------------------------------
-// Compilation: tree -> folded tree -> hash-consed DAG -> bytecode.
+// Compilation: tree -> folded tree -> hash-consed DAG -> registers.
 // ---------------------------------------------------------------------
 
 /// A hash-consed expression node: children are arena ids, constants are
@@ -206,17 +166,12 @@ pub(crate) enum Node {
     MulAdd(usize, usize, usize),
 }
 
-impl Node {
-    fn is_leaf(self) -> bool {
-        matches!(self, Node::Tap(_) | Node::Const(_))
-    }
-}
-
 /// Collapses pure-constant subtrees to literals, evaluating them with
-/// the same scalar semantics the bytecode uses — a constant subtree's
-/// folded value is bit-identical to evaluating it at run time, so
-/// folding never changes results. No algebraic identities are applied
-/// (`x + 0.0` is *not* rewritten: it can flip `-0.0` to `+0.0`).
+/// the same scalar semantics the register program uses — a constant
+/// subtree's folded value is bit-identical to evaluating it at run
+/// time, so folding never changes results. No algebraic identities are
+/// applied (`x + 0.0` is *not* rewritten: it can flip `-0.0` to
+/// `+0.0`).
 fn fold(e: &KernelExpr) -> KernelExpr {
     let folded = match e {
         KernelExpr::Tap(_) | KernelExpr::Const(_) => e.clone(),
@@ -281,16 +236,12 @@ impl Arena {
         self.intern(node)
     }
 
-    /// Structural in-degree of every node (plus one for the root) — the
-    /// number of places each value is consumed.
-    fn use_counts(&self, root: usize) -> Vec<usize> {
-        self.use_counts_multi(&[root])
-    }
-
-    /// In-degrees over a DAG with several roots (one per unrolled
-    /// output position) — counts accumulate across all of them, so a
-    /// subtree shared between outputs registers as multiply used.
-    pub(crate) fn use_counts_multi(&self, roots: &[usize]) -> Vec<usize> {
+    /// Structural in-degree of every node (plus one per root) — the
+    /// number of places each value is consumed. With several roots (one
+    /// per unrolled output position) counts accumulate across all of
+    /// them, so a subtree shared between outputs registers as multiply
+    /// used.
+    pub(crate) fn use_counts(&self, roots: &[usize]) -> Vec<usize> {
         let mut counts = vec![0usize; self.nodes.len()];
         for &root in roots {
             counts[root] += 1;
@@ -314,103 +265,14 @@ impl Arena {
     }
 }
 
-/// Bytecode emission over the DAG: shared nodes get `Store` on first
-/// emission and `Load` afterwards; `x + a*b` with a singly-used product
-/// fuses to [`Op::MulAdd`].
-struct Emitter<'a> {
-    arena: &'a Arena,
-    counts: &'a [usize],
-    slot_of: Vec<Option<u16>>,
-    emitted: Vec<bool>,
-    ops: Vec<Op>,
-}
-
-impl Emitter<'_> {
-    /// True when `id` is a product consumed exactly once — safe to fuse
-    /// into its parent addition without bypassing a CSE slot.
-    fn fusible_mul(&self, id: usize) -> Option<(usize, usize)> {
-        match self.arena.nodes[id] {
-            Node::Mul(a, b) if self.counts[id] == 1 => Some((a, b)),
-            _ => None,
-        }
-    }
-
-    fn emit(&mut self, id: usize) {
-        if self.emitted[id] {
-            if let Some(slot) = self.slot_of[id] {
-                self.ops.push(Op::Load(slot));
-                return;
-            }
-        }
-        match self.arena.nodes[id] {
-            Node::Tap(k) => self
-                .ops
-                .push(Op::Tap(u16::try_from(k).expect("tap range validated"))),
-            Node::Const(bits) => self.ops.push(Op::Const(f64::from_bits(bits))),
-            Node::Add(a, b) => {
-                // Addition commutes bit-exactly in IEEE-754, so either
-                // operand's product may take the fused slot.
-                if let Some((x, y)) = self.fusible_mul(b) {
-                    self.emit(a);
-                    self.emit(x);
-                    self.emit(y);
-                    self.ops.push(Op::MulAdd);
-                } else if let Some((x, y)) = self.fusible_mul(a) {
-                    self.emit(b);
-                    self.emit(x);
-                    self.emit(y);
-                    self.ops.push(Op::MulAdd);
-                } else {
-                    self.emit(a);
-                    self.emit(b);
-                    self.ops.push(Op::Add);
-                }
-            }
-            Node::Sub(a, b) => {
-                self.emit(a);
-                self.emit(b);
-                self.ops.push(Op::Sub);
-            }
-            Node::Mul(a, b) => {
-                self.emit(a);
-                self.emit(b);
-                self.ops.push(Op::Mul);
-            }
-            Node::Div(a, b) => {
-                self.emit(a);
-                self.emit(b);
-                self.ops.push(Op::Div);
-            }
-            Node::Sqrt(a) => {
-                self.emit(a);
-                self.ops.push(Op::Sqrt);
-            }
-            Node::Abs(a) => {
-                self.emit(a);
-                self.ops.push(Op::Abs);
-            }
-            Node::MulAdd(a, b, c) => {
-                self.emit(c);
-                self.emit(a);
-                self.emit(b);
-                self.ops.push(Op::MulAdd);
-            }
-        }
-        if let Some(slot) = self.slot_of[id] {
-            self.ops.push(Op::Store(slot));
-        }
-        self.emitted[id] = true;
-    }
-}
-
 impl CompiledKernel {
-    /// Lowers `expr` to bytecode for a `taps`-point window, running the
-    /// constant-folding, CSE, and mul-add-fusion passes.
+    /// Lowers `expr` to a register program for a `taps`-point window,
+    /// running the constant-folding, CSE, and mul-add-fusion passes.
     ///
     /// # Errors
     ///
     /// [`EngineError::KernelCompile`] if the expression taps outside the
-    /// window or exceeds the evaluator's fixed stack/slot capacity.
+    /// window or the program exceeds the 16-bit register budget.
     pub fn compile(expr: &KernelExpr, taps: usize) -> Result<Self, EngineError> {
         if let Some(k) = expr.max_tap() {
             if k >= taps {
@@ -418,78 +280,18 @@ impl CompiledKernel {
                     detail: format!("expression taps v[{k}] but the window has {taps} points"),
                 });
             }
-            if k > usize::from(u16::MAX) {
-                return Err(EngineError::KernelCompile {
-                    detail: format!("tap position {k} exceeds the bytecode's 16-bit operand"),
-                });
-            }
         }
-
-        let folded = fold(expr);
-        let mut arena = Arena::default();
-        let root = arena.intern_expr(&folded);
-        let counts = arena.use_counts(root);
-
-        // Shared non-leaf values evaluate once into a slot.
-        let mut slots = 0u16;
-        let mut slot_of = vec![None; arena.nodes.len()];
-        for (id, node) in arena.nodes.iter().enumerate() {
-            if counts[id] >= 2 && !node.is_leaf() {
-                if usize::from(slots) >= MAX_SLOTS {
-                    return Err(EngineError::KernelCompile {
-                        detail: format!("expression needs more than {MAX_SLOTS} CSE slots"),
-                    });
-                }
-                slot_of[id] = Some(slots);
-                slots += 1;
-            }
-        }
-
-        let mut emitter = Emitter {
-            arena: &arena,
-            counts: &counts,
-            slot_of,
-            emitted: vec![false; arena.nodes.len()],
-            ops: Vec::new(),
-        };
-        emitter.emit(root);
-        let ops = emitter.ops;
-
-        // Simulate the stack to size it (and catch emitter bugs).
-        let mut sp = 0usize;
-        let mut max_stack = 0usize;
-        for op in &ops {
-            match op {
-                Op::Tap(_) | Op::Const(_) | Op::Load(_) => {
-                    sp += 1;
-                    max_stack = max_stack.max(sp);
-                }
-                Op::Add | Op::Sub | Op::Mul | Op::Div => sp -= 1,
-                Op::MulAdd => sp -= 2,
-                Op::Store(_) | Op::Sqrt | Op::Abs => {}
-            }
-        }
-        debug_assert_eq!(sp, 1, "bytecode must leave exactly the result on the stack");
-        if max_stack > MAX_STACK {
-            return Err(EngineError::KernelCompile {
-                detail: format!(
-                    "expression needs operand stack depth {max_stack}, more than the \
-                     evaluator's {MAX_STACK}"
-                ),
-            });
-        }
-
+        let expr = fold(expr);
+        let program = RegProgram::single(&expr, taps)?;
         Ok(CompiledKernel {
-            ops,
             taps,
-            slots: usize::from(slots),
-            max_stack,
-            expr: folded,
+            expr,
+            program,
         })
     }
 
-    /// Compiles and validates: the bytecode is replayed against the
-    /// reference closure on a battery of deterministic windows (edge
+    /// Compiles and validates: the register program is replayed against
+    /// the reference closure on a battery of deterministic windows (edge
     /// values plus pseudo-random fills) and must agree bit-for-bit.
     ///
     /// # Errors
@@ -513,7 +315,9 @@ impl CompiledKernel {
                 Ok(())
             } else {
                 Err(EngineError::KernelMismatch {
-                    detail: format!("window {window:?}: bytecode {got:?} vs closure {want:?}"),
+                    detail: format!(
+                        "window {window:?}: register program {got:?} vs closure {want:?}"
+                    ),
                 })
             }
         };
@@ -550,250 +354,39 @@ impl CompiledKernel {
         }
     }
 
-    /// The window size the bytecode was compiled for.
+    /// The window size the program was compiled for.
     #[must_use]
     pub fn taps(&self) -> usize {
         self.taps
     }
 
-    /// Number of bytecode operations (after folding, CSE, and fusion).
+    /// Number of register operations (after folding, CSE, and fusion;
+    /// tap and constant loads excluded).
     #[must_use]
     pub fn op_count(&self) -> usize {
-        self.ops.len()
+        self.program.op_count()
     }
 
-    /// Number of CSE slots the bytecode uses.
-    #[must_use]
-    pub fn slot_count(&self) -> usize {
-        self.slots
-    }
-
-    /// The constant-folded source expression this bytecode was lowered
-    /// from — the unrolled compiler's input.
+    /// The constant-folded source expression the program was lowered
+    /// from — the unrolled compiler's input and validation reference.
     pub(crate) fn folded_expr(&self) -> &KernelExpr {
         &self.expr
     }
 
-    /// Evaluates the bytecode on one window in declared offset order —
-    /// bit-identical to the source expression's
-    /// [`KernelExpr::eval`].
+    /// The one-output register program.
+    pub(crate) fn program(&self) -> &RegProgram {
+        &self.program
+    }
+
+    /// Evaluates the program on one window in declared offset order —
+    /// bit-identical to the source expression's [`KernelExpr::eval`].
     ///
     /// # Panics
     ///
     /// Panics if `window` is shorter than [`CompiledKernel::taps`].
     #[must_use]
     pub fn eval(&self, window: &[f64]) -> f64 {
-        self.eval_with(|k| window[k])
-    }
-
-    /// Scalar evaluation with an arbitrary tap binding — shared by the
-    /// per-window path and the sweep's row remainder.
-    fn eval_with(&self, tap: impl Fn(usize) -> f64) -> f64 {
-        let mut stack = [0.0f64; MAX_STACK];
-        let mut slots = [0.0f64; MAX_SLOTS];
-        let mut sp = 0usize;
-        for op in &self.ops {
-            match *op {
-                Op::Tap(k) => {
-                    stack[sp] = tap(usize::from(k));
-                    sp += 1;
-                }
-                Op::Const(c) => {
-                    stack[sp] = c;
-                    sp += 1;
-                }
-                Op::Load(s) => {
-                    stack[sp] = slots[usize::from(s)];
-                    sp += 1;
-                }
-                Op::Store(s) => slots[usize::from(s)] = stack[sp - 1],
-                Op::Add => {
-                    sp -= 1;
-                    stack[sp - 1] += stack[sp];
-                }
-                Op::Sub => {
-                    sp -= 1;
-                    stack[sp - 1] -= stack[sp];
-                }
-                Op::Mul => {
-                    sp -= 1;
-                    stack[sp - 1] *= stack[sp];
-                }
-                Op::Div => {
-                    sp -= 1;
-                    stack[sp - 1] /= stack[sp];
-                }
-                Op::Sqrt => stack[sp - 1] = stack[sp - 1].sqrt(),
-                Op::Abs => stack[sp - 1] = stack[sp - 1].abs(),
-                Op::MulAdd => {
-                    sp -= 2;
-                    stack[sp - 1] += stack[sp] * stack[sp + 1];
-                }
-            }
-        }
-        stack[0]
-    }
-
-    /// Evaluates the bytecode on one window in single precision: taps
-    /// and constants narrow to `f32` on entry, every operation rounds in
-    /// `f32`, and the result widens back to `f64` (exact). This is the
-    /// scalar reference for the [`Datapath::F32`] sweep — gather rows
-    /// and construction-time replay both use it, so every f32 path
-    /// computes identical bits.
-    #[must_use]
-    pub fn eval32(&self, window: &[f64]) -> f64 {
-        self.eval32_with(|k| window[k])
-    }
-
-    /// Single-precision evaluation with an arbitrary tap binding (see
-    /// [`CompiledKernel::eval32`]).
-    // The narrowing casts are the entire point of this datapath.
-    #[allow(clippy::cast_possible_truncation)]
-    pub(crate) fn eval32_with(&self, tap: impl Fn(usize) -> f64) -> f64 {
-        let mut stack = [0.0f32; MAX_STACK];
-        let mut slots = [0.0f32; MAX_SLOTS];
-        let mut sp = 0usize;
-        for op in &self.ops {
-            match *op {
-                Op::Tap(k) => {
-                    stack[sp] = tap(usize::from(k)) as f32;
-                    sp += 1;
-                }
-                Op::Const(c) => {
-                    stack[sp] = c as f32;
-                    sp += 1;
-                }
-                Op::Load(s) => {
-                    stack[sp] = slots[usize::from(s)];
-                    sp += 1;
-                }
-                Op::Store(s) => slots[usize::from(s)] = stack[sp - 1],
-                Op::Add => {
-                    sp -= 1;
-                    stack[sp - 1] += stack[sp];
-                }
-                Op::Sub => {
-                    sp -= 1;
-                    stack[sp - 1] -= stack[sp];
-                }
-                Op::Mul => {
-                    sp -= 1;
-                    stack[sp - 1] *= stack[sp];
-                }
-                Op::Div => {
-                    sp -= 1;
-                    stack[sp - 1] /= stack[sp];
-                }
-                Op::Sqrt => stack[sp - 1] = stack[sp - 1].sqrt(),
-                Op::Abs => stack[sp - 1] = stack[sp - 1].abs(),
-                Op::MulAdd => {
-                    sp -= 2;
-                    stack[sp - 1] += stack[sp] * stack[sp + 1];
-                }
-            }
-        }
-        f64::from(stack[0])
-    }
-
-    /// The scalar row remainder: evaluates columns `from..out.len()`
-    /// one window at a time. [`CompiledKernel::sweep`] delegates its
-    /// tail here, keeping the remainder semantics in one place for the
-    /// sweep and its callers.
-    pub(crate) fn sweep_tail(&self, bases: &[usize], vals: &[f64], out: &mut [f64], from: usize) {
-        for tt in from..out.len() {
-            out[tt] = self.eval_with(|k| vals[bases[k] + tt]);
-        }
-    }
-
-    /// The vectorized row sweep: writes `out[t] = kernel(window at t)`
-    /// for a whole output row, with tap `k` reading the contiguous input
-    /// run starting at `vals[bases[k]]`. The bytecode runs over
-    /// [`LANES`]-wide chunks (fixed-size lane arrays, one dispatch per
-    /// op per chunk); the row remainder evaluates scalar.
-    ///
-    /// Callers guarantee `vals[bases[k] .. bases[k] + out.len()]` is in
-    /// range for every tap — the fast-row predicate of the row executor.
-    pub(crate) fn sweep(&self, bases: &[usize], vals: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(bases.len(), self.taps);
-        let len = out.len();
-        let mut stack = [[0.0f64; LANES]; MAX_STACK];
-        let mut slots = [[0.0f64; LANES]; MAX_SLOTS];
-        let mut t = 0usize;
-        while t + LANES <= len {
-            let mut sp = 0usize;
-            for op in &self.ops {
-                match *op {
-                    Op::Tap(k) => {
-                        let b = bases[usize::from(k)] + t;
-                        stack[sp].copy_from_slice(&vals[b..b + LANES]);
-                        sp += 1;
-                    }
-                    Op::Const(c) => {
-                        stack[sp] = [c; LANES];
-                        sp += 1;
-                    }
-                    Op::Load(s) => {
-                        stack[sp] = slots[usize::from(s)];
-                        sp += 1;
-                    }
-                    Op::Store(s) => slots[usize::from(s)] = stack[sp - 1],
-                    Op::Add => {
-                        sp -= 1;
-                        let (lo, hi) = stack.split_at_mut(sp);
-                        let (a, b) = (&mut lo[sp - 1], &hi[0]);
-                        for i in 0..LANES {
-                            a[i] += b[i];
-                        }
-                    }
-                    Op::Sub => {
-                        sp -= 1;
-                        let (lo, hi) = stack.split_at_mut(sp);
-                        let (a, b) = (&mut lo[sp - 1], &hi[0]);
-                        for i in 0..LANES {
-                            a[i] -= b[i];
-                        }
-                    }
-                    Op::Mul => {
-                        sp -= 1;
-                        let (lo, hi) = stack.split_at_mut(sp);
-                        let (a, b) = (&mut lo[sp - 1], &hi[0]);
-                        for i in 0..LANES {
-                            a[i] *= b[i];
-                        }
-                    }
-                    Op::Div => {
-                        sp -= 1;
-                        let (lo, hi) = stack.split_at_mut(sp);
-                        let (a, b) = (&mut lo[sp - 1], &hi[0]);
-                        for i in 0..LANES {
-                            a[i] /= b[i];
-                        }
-                    }
-                    Op::Sqrt => {
-                        for v in &mut stack[sp - 1] {
-                            *v = v.sqrt();
-                        }
-                    }
-                    Op::Abs => {
-                        for v in &mut stack[sp - 1] {
-                            *v = v.abs();
-                        }
-                    }
-                    Op::MulAdd => {
-                        sp -= 2;
-                        let (lo, hi) = stack.split_at_mut(sp);
-                        let acc = &mut lo[sp - 1];
-                        let (a, b) = (&hi[0], &hi[1]);
-                        for i in 0..LANES {
-                            acc[i] += a[i] * b[i];
-                        }
-                    }
-                }
-            }
-            out[t..t + LANES].copy_from_slice(&stack[0]);
-            t += LANES;
-        }
-        self.sweep_tail(bases, vals, out, t);
+        self.program.eval::<f64>(window)
     }
 }
 
@@ -836,32 +429,19 @@ mod tests {
         // datapath must produce the widened f32 sum, not the f64 one.
         let e = tap(0) + KernelExpr::constant(0.1);
         let ck = CompiledKernel::compile(&e, 1).unwrap();
-        let got = ck.eval32(&[1.0]);
+        let got = ck.program().eval::<f32>(&[1.0]);
         assert_eq!(got, f64::from(1.0f32 + 0.1f32));
         assert_ne!(got, 1.0f64 + 0.1f64);
         assert_eq!(ck.eval(&[1.0]), 1.0f64 + 0.1f64);
     }
 
     #[test]
-    fn sweep_tail_matches_eval() {
-        let e = tap(0) * tap(1) + 3.0;
-        let ck = CompiledKernel::compile(&e, 2).unwrap();
-        let vals: Vec<f64> = (0..12).map(f64::from).collect();
-        let bases = [0usize, 1];
-        let mut out = vec![0.0f64; 8];
-        ck.sweep_tail(&bases, &vals, &mut out, 3);
-        assert_eq!(out[..3], [0.0; 3]); // untouched below `from`
-        for t in 3..8 {
-            assert_eq!(out[t], ck.eval(&[vals[t], vals[t + 1]]));
-        }
-    }
-
-    #[test]
     fn constant_subtrees_fold_to_literals() {
-        // (2 + 3) * t0: the constant sum folds, leaving Const(5), Tap, Mul.
+        // (2 + 3) * t0: the constant sum folds into a Const(5) register,
+        // leaving a single Mul.
         let e = (KernelExpr::constant(2.0) + KernelExpr::constant(3.0)) * tap(0);
         let ck = CompiledKernel::compile(&e, 1).unwrap();
-        assert_eq!(ck.op_count(), 3);
+        assert_eq!(ck.op_count(), 1);
         assert_eq!(ck.eval(&[7.0]), 35.0);
     }
 
@@ -871,9 +451,8 @@ mod tests {
         let s = tap(0) + tap(1);
         let e = s.clone() / s.clone() + s.sqrt();
         let ck = CompiledKernel::compile(&e, 2).unwrap();
-        assert_eq!(ck.slot_count(), 1);
-        // Tap Tap Add Store Load Div Load Sqrt Add -> 9 ops (vs 11 unshared).
-        assert_eq!(ck.op_count(), 9);
+        // Add Div Sqrt Add -> 4 ops (vs 6 unshared).
+        assert_eq!(ck.op_count(), 4);
         let w = [2.0, 7.0];
         assert_eq!(ck.eval(&w), 9.0f64 / 9.0 + 9.0f64.sqrt());
     }
@@ -883,8 +462,8 @@ mod tests {
         // t0*t1 + t2: fusible product; result must keep two roundings.
         let e = tap(0) * tap(1) + tap(2);
         let ck = CompiledKernel::compile(&e, 3).unwrap();
-        // Tap2 Tap0 Tap1 MulAdd — 4 ops instead of 5.
-        assert_eq!(ck.op_count(), 4);
+        // One MulAdd instead of Mul + Add.
+        assert_eq!(ck.op_count(), 1);
         // 0.1 * 10.0 rounds to exactly 1.0 in binary64, so two-rounding
         // evaluation cancels to 0.0; a *contracted* FMA keeps the exact
         // product's residue and does not. The fused opcode must cancel.
@@ -895,12 +474,13 @@ mod tests {
 
     #[test]
     fn shared_products_are_not_fused() {
-        // p = t0 * t1 is shared: fusing p into one of its uses would
-        // bypass the slot. Both uses must see the same stored value.
+        // p = t0 * t1 is shared: fusing p into its uses would compute
+        // it twice. It materializes once: Mul Add Add Add -> 4 ops (a
+        // fused form would be MulAdd MulAdd Add -> 3).
         let p = tap(0) * tap(1);
         let e = (p.clone() + tap(2)) + (p + tap(3));
         let ck = CompiledKernel::compile(&e, 4).unwrap();
-        assert_eq!(ck.slot_count(), 1);
+        assert_eq!(ck.op_count(), 4);
         let w = [3.0, 5.0, 1.0, 2.0];
         assert_eq!(ck.eval(&w), (15.0 + 1.0) + (15.0 + 2.0));
     }
@@ -921,13 +501,48 @@ mod tests {
     }
 
     #[test]
-    fn overdeep_expression_is_a_compile_error() {
-        // A fully right-nested chain needs stack depth = chain length.
-        let mut e = tap(0);
-        for _ in 0..MAX_STACK {
-            e = tap(0) * e; // right operand nests, depth grows per level
+    fn deep_and_shared_expressions_compile() {
+        // A 33-deep right-nested product (every level's left operand
+        // stays live while the right one nests) and 20 shared
+        // subexpressions, each consumed twice: neither has a depth or
+        // sharing limit in register form.
+        let mut deep = tap(0);
+        for k in 1..33 {
+            deep = tap(k % 3) * deep;
         }
-        let err = CompiledKernel::compile(&e, 1).unwrap_err();
+        let shared: Vec<KernelExpr> = (0..20u32)
+            .map(|k| tap(k as usize % 3) * KernelExpr::constant(f64::from(k) + 1.5))
+            .collect();
+        let mut wide = KernelExpr::constant(0.0);
+        for s in &shared {
+            wide = wide + s.clone();
+        }
+        for s in &shared {
+            wide = wide - s.clone().sqrt();
+        }
+        let w = [1.25, -0.5, 3.0];
+        for e in [deep, wide] {
+            let ck = CompiledKernel::compile(&e, 3).unwrap();
+            assert_eq!(ck.eval(&w).to_bits(), e.eval(&w).to_bits());
+        }
+
+        // The 16-bit register budget still bounds a program: a balanced
+        // sum of 35000 distinct products needs ~105k registers.
+        let mut terms: Vec<KernelExpr> = (0..35_000u32)
+            .map(|k| tap(0) * KernelExpr::constant(f64::from(k) + 0.5))
+            .collect();
+        while terms.len() > 1 {
+            let mut next = Vec::with_capacity(terms.len().div_ceil(2));
+            let mut it = terms.into_iter();
+            while let Some(a) = it.next() {
+                next.push(match it.next() {
+                    Some(b) => a + b,
+                    None => a,
+                });
+            }
+            terms = next;
+        }
+        let err = CompiledKernel::compile(&terms[0], 1).unwrap_err();
         assert!(matches!(err, EngineError::KernelCompile { .. }), "{err}");
     }
 
@@ -952,7 +567,6 @@ mod tests {
                     detail: format!("{} has no expression", b.name()),
                 })?;
             assert_eq!(ck.taps(), b.window().len());
-            assert!(ck.max_stack <= MAX_STACK);
         }
         Ok(())
     }
@@ -961,24 +575,27 @@ mod tests {
     fn rician_cse_finds_the_shared_average() {
         let b = stencil_kernels::rician();
         let ck = CompiledKernel::for_benchmark(&b).unwrap().unwrap();
-        // avg is used three times; exactly one slot expected.
-        assert_eq!(ck.slot_count(), 1);
+        // avg (3 Adds + Mul) is used three times but evaluates once:
+        // 4 + Mul Abs Add Div Sqrt -> 9 ops (vs 17 unshared).
+        assert_eq!(ck.op_count(), 9);
     }
 
     #[test]
     fn sweep_matches_per_window_eval() {
         // A synthetic 3-tap row: taps read at column shifts 0, 1, 2 of a
-        // flat buffer; row lengths exercise chunks plus remainders.
+        // flat buffer; strides exercise a partial chunk alone, one chunk
+        // either side of full, and chunks plus a remainder.
         let e = tap(0) + 2.0 * tap(1) - tap(2).abs().sqrt();
-        let ck = CompiledKernel::compile(&e, 3).unwrap();
-        let vals: Vec<f64> = (0..64).map(|i| f64::from(i) * 0.75 - 11.0).collect();
-        for len in [1usize, 7, 8, 9, 16, 30] {
-            let bases = [0usize, 1, 2];
-            let mut out = vec![0.0f64; len];
-            ck.sweep(&bases, &vals, &mut out);
+        let closure = |v: &[f64]| v[0] + 2.0 * v[1] - v[2].abs().sqrt();
+        let ck = CompiledKernel::compile_checked(&e, 3, &closure).unwrap();
+        let vals: Vec<f64> = (0..128).map(|i| f64::from(i) * 0.75 - 11.0).collect();
+        let bases = [0usize, 1, 2];
+        for stride in [1usize, 31, 32, 33, 70] {
+            let mut out = vec![0.0f64; stride];
+            ck.program().sweep::<f64>(&bases, &vals, &mut out, stride);
             for (t, &got) in out.iter().enumerate() {
                 let window = [vals[t], vals[1 + t], vals[2 + t]];
-                assert_eq!(got, ck.eval(&window), "len={len} t={t}");
+                assert_eq!(got, closure(&window), "stride={stride} t={t}");
             }
         }
     }

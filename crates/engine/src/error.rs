@@ -40,14 +40,14 @@ pub enum EngineError {
         /// What the index got wrong.
         detail: String,
     },
-    /// A kernel expression could not be lowered to bytecode (tap out of
-    /// range, or the expression exceeds the evaluator's fixed stack or
-    /// slot capacity).
+    /// A kernel expression could not be lowered to a register program
+    /// (tap out of range, or the program exceeds the 16-bit register
+    /// budget).
     KernelCompile {
         /// What the compiler rejected.
         detail: String,
     },
-    /// The compiled bytecode disagreed with the reference closure during
+    /// The compiled program disagreed with the reference closure during
     /// construction-time validation — the expression does not mirror the
     /// closure's arithmetic.
     KernelMismatch {

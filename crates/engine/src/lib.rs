@@ -17,10 +17,10 @@
 //! * bands execute in parallel on scoped worker threads pulling from a
 //!   shared work queue, writing disjoint slices of one output buffer;
 //! * kernels authored as [`stencil_kernels::KernelExpr`] trees compile
-//!   at plan time to flat stack bytecode ([`CompiledKernel`]) and run
-//!   through a vectorized *row sweep*: each window tap binds to a
+//!   at plan time to an SSA register program ([`CompiledKernel`]) and
+//!   run through a vectorized *row sweep*: each window tap binds to a
 //!   column-shifted contiguous slice of the resident rows and the
-//!   bytecode evaluates over fixed-width lane chunks the compiler can
+//!   program evaluates over fixed-width lane chunks the compiler can
 //!   autovectorize — bit-identical to the closure datapath by
 //!   construction ([`CompiledKernel::compile_checked`]).
 //!

@@ -29,7 +29,7 @@ pub struct TileReport {
     pub outputs: u64,
     /// Input elements in the band's halo (its off-chip traffic share).
     pub halo_elements: u64,
-    /// Output rows evaluated by the vectorized bytecode row sweep.
+    /// Output rows evaluated by the vectorized register-program row sweep.
     pub sweep_rows: u64,
     /// Output rows executed on the batched fast path (every window tap
     /// contiguous in the input stream).
@@ -201,7 +201,7 @@ pub struct StreamReport {
     /// Planned residency bound: max over bands of halo rows × widest
     /// resident row length.
     pub resident_bound: u64,
-    /// Output rows evaluated by the vectorized bytecode row sweep.
+    /// Output rows evaluated by the vectorized register-program row sweep.
     pub sweep_rows: u64,
     /// Output rows executed on the batched fast path.
     pub fast_rows: u64,

@@ -9,8 +9,9 @@
 //! its three row classes:
 //!
 //! * **sweep rows** — every tap is one contiguous resident run *and*
-//!   the kernel is compiled: the row evaluates through the vectorized
-//!   [`CompiledKernel::sweep`] bytecode sweep;
+//!   the kernel sweeps a compiled register program: runs of `U`
+//!   aligned rows evaluate the program's grouped lane pass, every
+//!   other row its one-output lane pass;
 //! * **fast rows** — taps are contiguous and resident but the kernel is
 //!   a closure (or the `Closure` backend is forced): a batched
 //!   per-element loop gathers each window from tap bases;
@@ -45,22 +46,14 @@ fn into_inner_recover<T>(m: Mutex<T>) -> T {
 }
 
 /// How the row executor evaluates the kernel datapath — implemented by
-/// closure adapters and by compiled bytecode, so one generic executor
-/// serves both backends.
+/// closure adapters and by compiled register programs, so one generic
+/// executor serves both backends.
 pub(crate) trait RowKernel: Sync {
     /// Evaluates one window in declared offset order.
     fn eval_window(&self, window: &[f64]) -> f64;
 
-    /// The compiled form to row-sweep with, when this kernel has one
+    /// The register program to row-sweep with, when this kernel has one
     /// and the backend allows it. `None` keeps the per-element path.
-    fn sweeper(&self) -> Option<&CompiledKernel> {
-        None
-    }
-
-    /// The unrolled multi-output register program, when this kernel
-    /// executes through the unrolled sweep (`Session::unroll` above 1
-    /// or a non-default datapath). `None` keeps the stack-bytecode
-    /// sweep.
     fn unrolled(&self) -> Option<&UnrolledProgram> {
         None
     }
@@ -83,70 +76,26 @@ impl<C: Fn(&[f64]) -> f64 + Sync + ?Sized> RowKernel for ClosureKernel<'_, C> {
     }
 }
 
-/// Compiled bytecode with row sweeps enabled (the `Compiled` backend).
-pub(crate) struct SweepKernel<'a>(pub &'a CompiledKernel);
-
-impl RowKernel for SweepKernel<'_> {
-    fn eval_window(&self, window: &[f64]) -> f64 {
-        self.0.eval(window)
-    }
-
-    fn sweeper(&self) -> Option<&CompiledKernel> {
-        Some(self.0)
-    }
-}
-
-/// Compiled bytecode forced onto the per-element path (the `Closure`
-/// backend selected with a compiled kernel) — used by cross-checks to
-/// isolate the sweep from the bytecode semantics.
-pub(crate) struct ScalarKernel<'a>(pub &'a CompiledKernel);
-
-impl RowKernel for ScalarKernel<'_> {
-    fn eval_window(&self, window: &[f64]) -> f64 {
-        self.0.eval(window)
-    }
-}
-
-/// Compiled bytecode executing through the unrolled register sweep:
-/// grouped runs of adjacent aligned rows evaluate the multi-output
-/// `group` program (one dispatch per U rows), leftover sweep rows run
-/// the single-output sibling, and gather rows evaluate the scalar
-/// bytecode in the program's datapath.
-pub(crate) struct UnrolledKernel<'a> {
-    pub ck: &'a CompiledKernel,
+/// A compiled register program: row-sweeps under the `Compiled`
+/// backend (`sweep`), evaluates per element under `Closure`. Gather
+/// rows and per-element evaluation run the program's scalar pass in its
+/// datapath.
+pub(crate) struct CompiledRowKernel {
     pub prog: UnrolledProgram,
+    pub sweep: bool,
 }
 
-impl RowKernel for UnrolledKernel<'_> {
+impl RowKernel for CompiledRowKernel {
     fn eval_window(&self, window: &[f64]) -> f64 {
-        match self.prog.datapath() {
-            Datapath::F64 => self.ck.eval(window),
-            Datapath::F32 => self.ck.eval32(window),
-        }
+        self.prog.eval(window)
     }
 
     fn unrolled(&self) -> Option<&UnrolledProgram> {
-        Some(&self.prog)
+        self.sweep.then_some(&self.prog)
     }
 
     fn datapath(&self) -> Datapath {
         self.prog.datapath()
-    }
-}
-
-/// Compiled bytecode forced onto the per-element path in single
-/// precision — the `Closure` backend under [`Datapath::F32`], used by
-/// cross-checks to isolate the unrolled f32 sweep from the scalar f32
-/// bytecode semantics.
-pub(crate) struct Scalar32Kernel<'a>(pub &'a CompiledKernel);
-
-impl RowKernel for Scalar32Kernel<'_> {
-    fn eval_window(&self, window: &[f64]) -> f64 {
-        self.0.eval32(window)
-    }
-
-    fn datapath(&self) -> Datapath {
-        Datapath::F32
     }
 }
 
@@ -187,7 +136,7 @@ impl RankWindow<'_> {
 /// Row tallies of [`execute_rows`], by row class.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct RowStats {
-    /// Rows evaluated by the vectorized bytecode sweep.
+    /// Rows evaluated by the vectorized register-program sweep.
     pub sweep: u64,
     /// Rows on the batched per-element fast path.
     pub fast: u64,
@@ -209,9 +158,9 @@ impl RowStats {
 /// input window, writing `out` (one slot per iteration).
 ///
 /// Per output row, every window tap becomes a base rank into the flat
-/// input stream; resident contiguous rows then either sweep compiled
-/// bytecode over the whole row or run the batched per-element loop,
-/// while rows whose taps are not contiguous (or not fully resident)
+/// input stream; resident contiguous rows then either sweep the
+/// register program over the whole row or run the batched per-element
+/// loop, while rows whose taps are not contiguous (or not fully resident)
 /// fall back to per-point gathers.
 pub(crate) fn execute_rows<K: RowKernel + ?Sized>(
     rows: &[Row],
@@ -280,16 +229,11 @@ pub(crate) fn execute_rows<K: RowKernel + ?Sized>(
 
         if all_fast {
             if let Some(up) = unrolled {
-                // Leftover row of an unrolled kernel (group remainder
-                // or alignment miss): the single-output register
-                // program keeps the datapath identical to the group.
+                // Vectorized row sweep (U=1, or a group remainder or
+                // alignment miss): each tap is a column-shifted
+                // contiguous slice the one-output program runs over.
                 stats.sweep += 1;
-                up.sweep_single(&bases, win.vals, out_row, &mut ubases);
-            } else if let Some(ck) = kernel.sweeper() {
-                // Vectorized row sweep: each tap is a column-shifted
-                // contiguous slice; the bytecode runs over lane chunks.
-                stats.sweep += 1;
-                ck.sweep(&bases, win.vals, out_row);
+                up.sweep_single(&bases, win.vals, out_row);
             } else {
                 stats.fast += 1;
                 for (t, slot) in out_row.iter_mut().enumerate() {

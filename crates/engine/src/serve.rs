@@ -280,7 +280,7 @@ struct CachedPlan {
     index: stencil_polyhedral::DomainIndex,
     /// The band schedule the session's mode key would build.
     tile: TilePlan,
-    /// Pre-compiled checked bytecode, when the benchmark has an
+    /// Pre-compiled checked register program, when the benchmark has an
     /// expression.
     kernel: Option<CompiledKernel>,
     /// Stage metadata for the closure fallback ([`Session::build`]).

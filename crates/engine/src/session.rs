@@ -9,8 +9,8 @@
 //!
 //! ```text
 //! Session::new(&plan)                  // what to compute
-//!     .kernel(SessionKernel::..)       // datapath: closure or bytecode
-//!     .backend(KernelBackend::..)      // how bytecode executes
+//!     .kernel(SessionKernel::..)       // datapath: closure or compiled
+//!     .backend(KernelBackend::..)      // how compiled kernels execute
 //!     .mode(ExecMode::..)              // in-core / tiled / streaming
 //!     .threads(n)                      // worker parallelism
 //!     .run(&input)                     // or .run_streaming(src, sink)
@@ -30,7 +30,7 @@
 //! reuse distances — the paper's Sec. 2.3 bound applied stage-wise —
 //! which makes the stages line up exactly: stage `k + 1`'s input
 //! domain equals stage `k`'s iteration domain, row for row. Each stage
-//! independently executes compiled bytecode (when its
+//! independently executes its compiled program (when its
 //! [`KernelStage::expr`] exists) or its closure, overridable per stage
 //! via [`Session::stage_backend`]; [`Session::stage_plans`] exposes the
 //! resolved per-stage recipe ([`StagePlan`]) without running. Under
@@ -79,8 +79,7 @@ use crate::error::EngineError;
 use crate::input::InputGrid;
 use crate::report::{GridIoReport, RunReport, StreamReport};
 use crate::rowexec::{
-    check_kernel_window, execute_tiled, plan_offsets, ClosureKernel, RowKernel, Scalar32Kernel,
-    ScalarKernel, SweepKernel, UnrolledKernel,
+    check_kernel_window, execute_tiled, plan_offsets, ClosureKernel, CompiledRowKernel, RowKernel,
 };
 use crate::stream::{RowSink, RowSource, SliceSource, VecSink};
 use crate::unroll::UnrolledProgram;
@@ -124,7 +123,7 @@ impl ExecMode {
 pub enum SessionKernel<'a> {
     /// An arbitrary window closure; always evaluates per element.
     Closure(&'a (dyn Fn(&[f64]) -> f64 + Sync)),
-    /// Pre-compiled bytecode; row-sweeps under
+    /// A pre-compiled register program; row-sweeps under
     /// [`KernelBackend::Compiled`].
     Compiled(&'a CompiledKernel),
 }
@@ -141,16 +140,6 @@ impl fmt::Debug for SessionKernel<'_> {
     }
 }
 
-/// A plain-`fn` datapath, used by chained stages built from
-/// [`KernelStage`] metadata.
-struct FnKernel(ComputeFn);
-
-impl RowKernel for FnKernel {
-    fn eval_window(&self, window: &[f64]) -> f64 {
-        (self.0)(window)
-    }
-}
-
 /// A stage's datapath, covering both borrowed builder inputs and
 /// kernels the chain owns (compiled on the fly from stage metadata).
 enum StageKernel<'a> {
@@ -163,7 +152,7 @@ enum StageKernel<'a> {
 impl<'a> StageKernel<'a> {
     /// A second stage handle over the same datapath, for the
     /// self-chained ring [`Session::iterate`] builds: borrowed kernels
-    /// are re-borrowed, owned bytecode is cloned.
+    /// are re-borrowed, owned programs are cloned.
     fn duplicate(&self) -> StageKernel<'a> {
         match self {
             StageKernel::Closure(c) => StageKernel::Closure(*c),
@@ -271,10 +260,9 @@ impl<'a> Stage<'a> {
     }
 
     /// The stage's row executor, or a config error if no kernel was
-    /// supplied. `unroll`/`datapath` shape the compiled sweep: above-1
-    /// unroll or the f32 datapath build a validated
-    /// [`UnrolledProgram`] over the stage plan's window; closure
-    /// datapaths reject f32 (no bytecode to narrow).
+    /// supplied. Compiled stages build a validated [`UnrolledProgram`]
+    /// of `unroll`/`datapath` shape over the stage plan's window;
+    /// closure datapaths reject f32 (no program to narrow).
     fn row_kernel(
         &self,
         session_backend: KernelBackend,
@@ -292,7 +280,7 @@ impl<'a> Stage<'a> {
             }
             Some(StageKernel::ClosureFn(f)) => {
                 self.require_f64(datapath)?;
-                Ok(Box::new(FnKernel(*f)))
+                Ok(Box::new(ClosureKernel(f)))
             }
             Some(StageKernel::Compiled(k)) => {
                 self.compiled_row_kernel(k, session_backend, unroll, datapath)
@@ -303,9 +291,9 @@ impl<'a> Stage<'a> {
         }
     }
 
-    /// Rejects the f32 datapath for closure stages: without bytecode
-    /// there is nothing to narrow, and silently running the closure in
-    /// f64 would misreport the precision.
+    /// Rejects the f32 datapath for closure stages: without a compiled
+    /// program there is nothing to narrow, and silently running the
+    /// closure in f64 would misreport the precision.
     fn require_f64(&self, datapath: Datapath) -> Result<(), EngineError> {
         if datapath == Datapath::F32 {
             return Err(EngineError::Config {
@@ -318,33 +306,21 @@ impl<'a> Stage<'a> {
         Ok(())
     }
 
-    /// The row executor of a compiled stage under the session's sweep
-    /// shape. The default shape keeps the classic stack-bytecode sweep
-    /// (or scalar bytecode under the `Closure` backend); any other
-    /// shape builds the unrolled register program, validated against
-    /// the bytecode at construction.
-    fn compiled_row_kernel<'s>(
-        &'s self,
-        k: &'s CompiledKernel,
+    /// The row executor of a compiled stage: the register program of
+    /// the session's sweep shape, validated against the folded
+    /// expression at construction. The `Closure` backend evaluates it
+    /// per element, so it builds no grouped program.
+    fn compiled_row_kernel(
+        &self,
+        k: &CompiledKernel,
         session_backend: KernelBackend,
         unroll: usize,
         datapath: Datapath,
-    ) -> Result<Box<dyn RowKernel + 's>, EngineError> {
-        match session_backend {
-            KernelBackend::Closure => Ok(match datapath {
-                Datapath::F64 => Box::new(ScalarKernel(k)),
-                Datapath::F32 => Box::new(Scalar32Kernel(k)),
-            }),
-            KernelBackend::Compiled => {
-                if unroll > 1 || datapath == Datapath::F32 {
-                    let offsets = plan_offsets(self.plan.get());
-                    let prog = UnrolledProgram::build(k, &offsets, unroll, datapath)?;
-                    Ok(Box::new(UnrolledKernel { ck: k, prog }))
-                } else {
-                    Ok(Box::new(SweepKernel(k)))
-                }
-            }
-        }
+    ) -> Result<Box<dyn RowKernel + '_>, EngineError> {
+        let sweep = session_backend == KernelBackend::Compiled;
+        let offsets = plan_offsets(self.plan.get());
+        let prog = UnrolledProgram::build(k, &offsets, if sweep { unroll } else { 1 }, datapath)?;
+        Ok(Box::new(CompiledRowKernel { prog, sweep }))
     }
 }
 
@@ -369,7 +345,7 @@ pub struct StagePlan<'s> {
     pub plan: &'s MemorySystemPlan,
     /// The backend this stage resolves to: per-stage override if set,
     /// else the session default — and always [`KernelBackend::Closure`]
-    /// for stages without compiled bytecode.
+    /// for stages without a compiled program.
     pub backend: KernelBackend,
     /// The compiled-sweep unroll factor this stage requests (ignored by
     /// closure stages, which always evaluate per element).
@@ -477,18 +453,18 @@ impl<'a> Session<'a> {
 
     /// A single-stage session over `plan` whose datapath comes from
     /// `stage` metadata: when the stage carries a
-    /// [`stencil_kernels::KernelExpr`] it is compiled to owned bytecode
-    /// and validated against the stage closure, otherwise the closure
-    /// runs directly. This is the fallible entry point the serving
-    /// front-end uses — a benchmark whose expression fails checked
-    /// compilation surfaces as a typed error instead of killing the
-    /// worker.
+    /// [`stencil_kernels::KernelExpr`] it is compiled to an owned
+    /// program and validated against the stage closure, otherwise the
+    /// closure runs directly. This is the fallible entry point the
+    /// serving front-end uses — a benchmark whose expression fails
+    /// checked compilation surfaces as a typed error instead of killing
+    /// the worker.
     ///
     /// # Errors
     ///
     /// * [`EngineError::KernelCompile`] if the stage's expression fails
     ///   checked compilation.
-    /// * [`EngineError::KernelMismatch`] if the compiled bytecode
+    /// * [`EngineError::KernelMismatch`] if the compiled program
     ///   diverges from the stage closure on the validation sweep.
     pub fn build(plan: &'a MemorySystemPlan, stage: &KernelStage) -> Result<Self, EngineError> {
         let kernel = match stage.expr() {
@@ -561,10 +537,10 @@ impl<'a> Session<'a> {
     }
 
     /// Overrides the kernel backend of the *most recently added* stage,
-    /// making the chain heterogeneous: each stage may sweep compiled
-    /// bytecode while its neighbours run closures, independent of the
+    /// making the chain heterogeneous: each stage may sweep its compiled
+    /// program while its neighbours run closures, independent of the
     /// session-wide default set by [`Session::backend`]. Stages without
-    /// compiled bytecode still execute per element regardless.
+    /// a compiled program still execute per element regardless.
     #[must_use]
     pub fn stage_backend(mut self, backend: KernelBackend) -> Self {
         self.stages
@@ -612,8 +588,9 @@ impl<'a> Session<'a> {
     /// for row (checked with [`MemorySystemPlan::chains_from`]).
     ///
     /// When `stage` carries a [`stencil_kernels::KernelExpr`], the
-    /// chained stage compiles it to bytecode (validated against the
-    /// stage's closure); otherwise it evaluates the closure directly.
+    /// chained stage compiles it to a register program (validated
+    /// against the stage's closure); otherwise it evaluates the closure
+    /// directly.
     /// Either way the stage's backend can be overridden individually
     /// with [`Session::stage_backend`] right after this call.
     ///
@@ -1811,7 +1788,7 @@ mod tests {
             0
         );
 
-        // Forcing the Closure backend routes the same bytecode through
+        // Forcing the Closure backend routes the same program through
         // the per-element path — identical values, zero sweeps.
         let scalar = Session::new(&plan)
             .kernel(SessionKernel::Compiled(&kernel))
@@ -1917,7 +1894,7 @@ mod tests {
             assert_eq!(streamed.outputs, f32_run.outputs, "chunk_rows={chunk_rows}");
         }
 
-        // The scalar f32 bytecode path (Closure backend) agrees with
+        // The scalar f32 register pass (Closure backend) agrees with
         // the unrolled f32 lanes bit for bit: both narrow taps and
         // constants identically and evaluate in the same order.
         let scalar32 = Session::new(&plan)

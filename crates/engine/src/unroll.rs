@@ -1,12 +1,21 @@
-//! Unrolled multi-output compilation: one program body produces `U`
-//! adjacent output rows per dispatch.
+//! The kernel IR: an SSA register program, and its unrolled
+//! multi-output form producing `U` adjacent output rows per dispatch.
 //!
-//! The single-output sweep ([`CompiledKernel::sweep`]) reloads every
-//! tap for every output row even though vertically adjacent rows share
-//! most of their stencil windows — DENOISE's north tap of row `r+1` is
-//! the center tap of row `r`. This module removes that redundancy the
-//! way the paper's non-uniform reuse buffers do in hardware, by
-//! *binding* coinciding taps once per group:
+//! [`CompiledKernel::compile`] lowers every kernel to a one-output
+//! register program ([`RegProgram::single`]): every node of the
+//! hash-consed expression DAG gets an SSA register ([`RegOp`]), so a
+//! shared value is reused by naming its register. Mul-add fusion only
+//! takes singly-used products and keeps two roundings, so f64 results
+//! stay bit-identical to the closure. The same program serves the row
+//! sweep (a lane pass over [`LANES`]-wide column chunks) and the
+//! per-element paths (a scalar pass over one window).
+//!
+//! A one-output sweep reloads every tap for every output row even
+//! though vertically adjacent rows share most of their stencil windows
+//! — DENOISE's north tap of row `r+1` is the center tap of row `r`. The
+//! unrolled program removes that redundancy the way the paper's
+//! non-uniform reuse buffers do in hardware, by *binding* coinciding
+//! taps once per group:
 //!
 //! * **shared-tap slots** — for output positions `u in 0..U` (adjacent
 //!   in the next-to-innermost dimension, the one iteration rows step
@@ -16,24 +25,18 @@
 //! * **cross-output CSE** — each output's folded expression is remapped
 //!   onto utap ids and interned into one shared hash-consing arena, so
 //!   subexpressions common to several outputs (SOBEL's column sums)
-//!   evaluate once per group;
-//! * **register form** — the group body is emitted as a register
-//!   machine ([`RegOp`]) instead of stack bytecode: every DAG node gets
-//!   an SSA register, so a shared value is reused by naming its
-//!   register — no `Store`/`Load` traffic and no slot limit. Mul-add
-//!   fusion keeps the stack machine's rule (singly-used products only)
-//!   and its two-rounding semantics, so f64 results stay bit-identical
-//!   to the closure.
+//!   evaluate once per group.
 //!
 //! The interpreter is generic over the lane type: [`Datapath::F64`]
 //! keeps the bit-exact reference semantics, [`Datapath::F32`] narrows
 //! constants and taps to single precision (grids stay `f64` in memory)
 //! and doubles the arithmetic lanes per vector op.
 //!
-//! Construction replays the register program against the scalar
-//! bytecode on synthetic windows (the same discipline as
-//! [`CompiledKernel::compile_checked`]) and rejects any divergence, so
-//! a mis-emitted program fails loudly before producing output.
+//! [`UnrolledProgram::build`] replays every program it runs against a
+//! direct walk of the folded expression on synthetic windows (the same
+//! discipline as [`CompiledKernel::compile_checked`]) and rejects any
+//! divergence, so a mis-emitted program fails loudly before producing
+//! output.
 
 use std::collections::HashMap;
 
@@ -49,6 +52,10 @@ use crate::error::EngineError;
 /// ~25%, beating U=2 (less sharing) and U=8 (marginal extra sharing,
 /// larger register file working set) — see EXPERIMENTS.md.
 pub const DEFAULT_UNROLL: usize = 4;
+
+/// Registers a scalar pass keeps on the stack; larger programs spill
+/// to the heap. Every suite kernel's one-output program fits.
+const INLINE_REGS: usize = 64;
 
 /// Upper bound on the accepted unroll factor — beyond this the
 /// register file outgrows cache long before sharing pays.
@@ -221,9 +228,9 @@ struct RegEmitter<'a> {
 }
 
 impl RegEmitter<'_> {
-    /// Same fusion rule as the stack emitter: only a product consumed
-    /// exactly once may fuse into its parent addition — a shared
-    /// product must materialize so every consumer reads one value.
+    /// The fusion rule: only a product consumed exactly once may fuse
+    /// into its parent addition — a shared product must materialize so
+    /// every consumer reads one value.
     fn fusible_mul(&self, id: usize) -> Option<(usize, usize)> {
         match self.arena.nodes[id] {
             Node::Mul(a, b) if self.counts[id] == 1 => Some((a, b)),
@@ -316,15 +323,30 @@ impl RegEmitter<'_> {
 }
 
 impl RegProgram {
-    /// Lowers `ck`'s folded expression to a `unroll`-output register
-    /// program over `offsets`. Returns the program plus the utap table
+    /// The one-output program over a `taps`-point window: utap `k` is
+    /// tap `k`, so the executor hands it per-tap bases directly. This is
+    /// the form [`CompiledKernel::compile`] lowers every kernel to.
+    pub(crate) fn single(expr: &KernelExpr, taps: usize) -> Result<Self, EngineError> {
+        let utaps = (0..taps)
+            .map(|k| u16::try_from(k).map(|k| (0, k)))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|_| EngineError::KernelCompile {
+                detail: format!(
+                    "a {taps}-tap window exceeds the register program's 16-bit operand"
+                ),
+            })?;
+        Self::lower(expr, utaps, &[(0..taps).collect()])
+    }
+
+    /// Lowers `expr` to a `unroll`-output register program over
+    /// `offsets`. Returns the program plus the utap table
     /// (`table[u][k]` = utap id read by tap `k` of output `u`), which
     /// validation and tests use to reconstruct per-output windows.
     ///
     /// The caller guarantees `unroll == 1` for windows with fewer than
     /// two dimensions (there is no adjacent-row axis to unroll along).
     pub(crate) fn build(
-        ck: &CompiledKernel,
+        expr: &KernelExpr,
         offsets: &[Point],
         unroll: usize,
     ) -> Result<(Self, Vec<Vec<usize>>), EngineError> {
@@ -355,16 +377,25 @@ impl RegProgram {
                 row[k] = id;
             }
         }
+        let program = Self::lower(expr, utaps, &table)?;
+        Ok((program, table))
+    }
 
+    /// Emits the register program computing `expr` once per row of
+    /// `table`, with tap `k` of output `u` reading utap `table[u][k]`.
+    fn lower(
+        expr: &KernelExpr,
+        utaps: Vec<(u16, u16)>,
+        table: &[Vec<usize>],
+    ) -> Result<Self, EngineError> {
         // One shared arena across all output expressions: subtrees
         // common to several outputs intern to the same id.
         let mut arena = Arena::default();
-        let mut root_ids = Vec::with_capacity(unroll);
-        for row in &table {
-            let remapped = remap_taps(ck.folded_expr(), row);
-            root_ids.push(arena.intern_expr(&remapped));
-        }
-        let counts = arena.use_counts_multi(&root_ids);
+        let root_ids: Vec<usize> = table
+            .iter()
+            .map(|row| arena.intern_expr(&remap_taps(expr, row)))
+            .collect();
+        let counts = arena.use_counts(&root_ids);
 
         // Constant registers, one per distinct bit pattern.
         let mut const_reg: HashMap<u64, u16> = HashMap::new();
@@ -380,7 +411,8 @@ impl RegProgram {
         if utaps.len() + consts.len() + arena.nodes.len() > usize::from(u16::MAX) {
             return Err(EngineError::KernelCompile {
                 detail: format!(
-                    "unroll-by-{unroll} program needs more than {} registers",
+                    "{}-output program needs more than {} registers",
+                    table.len(),
                     u16::MAX
                 ),
             });
@@ -411,7 +443,7 @@ impl RegProgram {
             regs: emitter.next,
         };
         debug_assert!(program.ssa_well_formed());
-        Ok((program, table))
+        Ok(program)
     }
 
     /// SSA sanity: every operand register precedes its destination.
@@ -430,8 +462,7 @@ impl RegProgram {
         &self.utaps
     }
 
-    /// Register operations in the group body (tap/const loads excluded).
-    #[cfg(test)]
+    /// Register operations in the body (tap/const loads excluded).
     pub(crate) fn op_count(&self) -> usize {
         self.ops.len()
     }
@@ -439,10 +470,17 @@ impl RegProgram {
     /// The vectorized multi-output sweep: writes output position `u`,
     /// column `t` to `out[u * stride + t]` for `t in 0..stride`, with
     /// utap `j` reading the contiguous input run at `vals[bases[j]]`.
-    /// Lane chunks run the register body; remainder columns evaluate
-    /// through [`RegProgram::tail`] — the one scalar remainder
-    /// implementation for every unrolled path.
-    fn sweep<T: Lane>(&self, bases: &[usize], vals: &[f64], out: &mut [f64], stride: usize) {
+    /// The register body runs over [`LANES`]-wide column chunks; the
+    /// last `stride % LANES` columns run as one partial chunk that loads
+    /// and stores only its in-range lanes. Each output column depends
+    /// only on its own taps, so the stale upper lanes never reach `out`.
+    pub(crate) fn sweep<T: Lane>(
+        &self,
+        bases: &[usize],
+        vals: &[f64],
+        out: &mut [f64],
+        stride: usize,
+    ) {
         debug_assert_eq!(bases.len(), self.utaps.len());
         debug_assert_eq!(out.len(), stride * self.roots.len());
         let nu = self.utaps.len();
@@ -451,50 +489,21 @@ impl RegProgram {
             regs[nu + j] = [T::from_f64(c); LANES];
         }
         let mut t = 0usize;
-        while t + LANES <= stride {
+        while t < stride {
+            let n = LANES.min(stride - t);
             for (j, &b) in bases.iter().enumerate() {
-                let src = &vals[b + t..b + t + LANES];
-                let dst = &mut regs[j];
-                for i in 0..LANES {
-                    dst[i] = T::from_f64(src[i]);
+                for (d, &s) in regs[j].iter_mut().zip(&vals[b + t..b + t + n]) {
+                    *d = T::from_f64(s);
                 }
             }
             self.run_chunk(&mut regs);
             for (u, &r) in self.roots.iter().enumerate() {
-                let src = &regs[usize::from(r)];
-                let dst = &mut out[u * stride + t..u * stride + t + LANES];
-                for i in 0..LANES {
-                    dst[i] = src[i].to_f64();
+                let dst = &mut out[u * stride + t..u * stride + t + n];
+                for (d, s) in dst.iter_mut().zip(&regs[usize::from(r)]) {
+                    *d = s.to_f64();
                 }
             }
-            t += LANES;
-        }
-        self.tail::<T>(bases, vals, out, stride, t);
-    }
-
-    /// Scalar remainder columns `from..stride`, one register-machine
-    /// evaluation per column producing all output positions at once.
-    fn tail<T: Lane>(
-        &self,
-        bases: &[usize],
-        vals: &[f64],
-        out: &mut [f64],
-        stride: usize,
-        from: usize,
-    ) {
-        let nu = self.utaps.len();
-        let mut regs: Vec<T> = vec![T::ZERO; self.regs];
-        for (j, &c) in self.consts.iter().enumerate() {
-            regs[nu + j] = T::from_f64(c);
-        }
-        for col in from..stride {
-            for (j, &b) in bases.iter().enumerate() {
-                regs[j] = T::from_f64(vals[b + col]);
-            }
-            self.run_scalar(&mut regs);
-            for (u, &r) in self.roots.iter().enumerate() {
-                out[u * stride + col] = regs[usize::from(r)].to_f64();
-            }
+            t += n;
         }
     }
 
@@ -568,9 +577,8 @@ impl RegProgram {
         }
     }
 
-    /// One register-body pass over scalar registers — the tail, the
-    /// gather-row replay, and construction-time validation all share
-    /// this evaluator.
+    /// One register-body pass over scalar registers, shared by
+    /// per-window evaluation and construction-time validation.
     fn run_scalar<T: Lane>(&self, regs: &mut [T]) {
         for op in &self.ops {
             match *op {
@@ -596,36 +604,61 @@ impl RegProgram {
         }
     }
 
+    /// Runs the scalar pass on one per-utap value assignment and hands
+    /// the register file to `read`. Small programs (every suite kernel
+    /// at U=1) keep their registers on the stack, so the per-element
+    /// paths allocate nothing.
+    fn with_scalar_pass<T: Lane, R>(&self, utap_vals: &[f64], read: impl FnOnce(&[T]) -> R) -> R {
+        let mut inline = [T::ZERO; INLINE_REGS];
+        let mut spilled = Vec::new();
+        let regs: &mut [T] = if self.regs <= INLINE_REGS {
+            &mut inline[..self.regs]
+        } else {
+            spilled.resize(self.regs, T::ZERO);
+            &mut spilled
+        };
+        let nu = self.utaps.len();
+        for (r, &v) in regs.iter_mut().zip(&utap_vals[..nu]) {
+            *r = T::from_f64(v);
+        }
+        for (r, &c) in regs[nu..].iter_mut().zip(&self.consts) {
+            *r = T::from_f64(c);
+        }
+        self.run_scalar(regs);
+        read(regs)
+    }
+
+    /// Evaluates the first output position on one window — for a
+    /// [`RegProgram::single`] program, the kernel applied to `window`
+    /// in declared offset order.
+    pub(crate) fn eval<T: Lane>(&self, window: &[f64]) -> f64 {
+        self.with_scalar_pass::<T, _>(window, |regs| regs[usize::from(self.roots[0])].to_f64())
+    }
+
     /// Evaluates all output positions on one synthetic per-utap value
     /// assignment (validation replay).
     fn eval_outputs<T: Lane>(&self, utap_vals: &[f64]) -> Vec<f64> {
-        let nu = self.utaps.len();
-        let mut regs: Vec<T> = vec![T::ZERO; self.regs];
-        for (j, &v) in utap_vals.iter().enumerate() {
-            regs[j] = T::from_f64(v);
-        }
-        for (j, &c) in self.consts.iter().enumerate() {
-            regs[nu + j] = T::from_f64(c);
-        }
-        self.run_scalar(&mut regs);
-        self.roots
-            .iter()
-            .map(|&r| regs[usize::from(r)].to_f64())
-            .collect()
+        self.with_scalar_pass::<T, _>(utap_vals, |regs| {
+            self.roots
+                .iter()
+                .map(|&r| regs[usize::from(r)].to_f64())
+                .collect()
+        })
     }
 }
 
 /// A validated unroll-by-U program pair: the `group` program produces
-/// `U` adjacent output rows per dispatch, the `single` program is its
-/// one-output sibling for leftover rows (row count not divisible by
-/// `U`, or rows whose group alignment check fails) — both proven
-/// equivalent to the scalar bytecode at construction, so any mix of
-/// grouped and single execution produces identical bits.
+/// `U` adjacent output rows per dispatch, the `single` program (the
+/// compiled kernel's own one-output program) serves leftover rows (row
+/// count not divisible by `U`, or rows whose group alignment check
+/// fails) and per-element evaluation — both proven equivalent to the
+/// folded expression at construction, so any mix of grouped, single
+/// and per-element execution produces identical bits. At `U = 1` the
+/// two are the same program.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UnrolledProgram {
     unroll: usize,
     datapath: Datapath,
-    taps: usize,
     group: RegProgram,
     single: RegProgram,
 }
@@ -641,8 +674,8 @@ impl UnrolledProgram {
     ///   supported maximum.
     /// * [`EngineError::KernelCompile`] if the window disagrees with
     ///   the kernel or the program exceeds the register budget.
-    /// * [`EngineError::KernelMismatch`] if the emitted register
-    ///   program diverges from the scalar bytecode on replay.
+    /// * [`EngineError::KernelMismatch`] if a register program diverges
+    ///   from the folded expression on replay.
     pub(crate) fn build(
         ck: &CompiledKernel,
         offsets: &[Point],
@@ -662,20 +695,20 @@ impl UnrolledProgram {
         let dims = offsets.first().map_or(0, Point::dims);
         let eff = if dims >= 2 { unroll } else { 1 };
 
-        let (group, group_table) = RegProgram::build(ck, offsets, eff)?;
-        validate_against_bytecode(ck, &group, &group_table, datapath)?;
-        let single = if eff == 1 {
-            group.clone()
+        let expr = ck.folded_expr();
+        let single = ck.program().clone();
+        validate_against_tree(expr, &single, &[(0..ck.taps()).collect()], datapath)?;
+        let group = if eff == 1 {
+            single.clone()
         } else {
-            let (single, single_table) = RegProgram::build(ck, offsets, 1)?;
-            validate_against_bytecode(ck, &single, &single_table, datapath)?;
-            single
+            let (group, table) = RegProgram::build(expr, offsets, eff)?;
+            validate_against_tree(expr, &group, &table, datapath)?;
+            group
         };
 
         Ok(Self {
             unroll: eff,
             datapath,
-            taps: offsets.len(),
             group,
             single,
         })
@@ -716,44 +749,59 @@ impl UnrolledProgram {
         }
     }
 
-    /// The single-row sweep for leftover rows. `tap_bases` are per
-    /// *tap* (the row executor's existing layout); the program maps
-    /// them onto its deduplicated utap slots via `scratch`.
-    pub(crate) fn sweep_single(
-        &self,
-        tap_bases: &[usize],
-        vals: &[f64],
-        out: &mut [f64],
-        scratch: &mut Vec<usize>,
-    ) {
-        scratch.clear();
-        scratch.extend(
-            self.single
-                .utaps()
-                .iter()
-                .map(|&(_, k)| tap_bases[usize::from(k)]),
-        );
+    /// The single-row sweep, `tap_bases[k]` being the input run of tap
+    /// `k` (the single program's utaps are the taps themselves).
+    pub(crate) fn sweep_single(&self, tap_bases: &[usize], vals: &[f64], out: &mut [f64]) {
         let stride = out.len();
         match self.datapath {
-            Datapath::F64 => self.single.sweep::<f64>(scratch, vals, out, stride),
-            Datapath::F32 => self.single.sweep::<f32>(scratch, vals, out, stride),
+            Datapath::F64 => self.single.sweep::<f64>(tap_bases, vals, out, stride),
+            Datapath::F32 => self.single.sweep::<f32>(tap_bases, vals, out, stride),
+        }
+    }
+
+    /// Evaluates one window in declared offset order, in this
+    /// program's datapath.
+    pub(crate) fn eval(&self, window: &[f64]) -> f64 {
+        match self.datapath {
+            Datapath::F64 => self.single.eval::<f64>(window),
+            Datapath::F32 => self.single.eval::<f32>(window),
         }
     }
 }
 
-/// Replays the register program against the scalar bytecode on the
-/// same battery shape as [`CompiledKernel::compile_checked`]: edge
-/// fills plus pseudo-random assignments of the deduplicated taps. Each
-/// output position must agree bit-for-bit with evaluating the bytecode
+/// The validation reference: a direct walk of the folded expression in
+/// lane type `T`. Taps and constants narrow on entry and every
+/// operation rounds in `T` in the expression's association order;
+/// `MulAdd` rounds the product and the sum separately, as the register
+/// op does. In `f64` this is [`KernelExpr::eval`].
+fn eval_tree<T: Lane>(e: &KernelExpr, window: &[f64]) -> T {
+    let ev = |x: &KernelExpr| eval_tree::<T>(x, window);
+    match e {
+        KernelExpr::Tap(k) => T::from_f64(window[*k]),
+        KernelExpr::Const(c) => T::from_f64(*c),
+        KernelExpr::Add(a, b) => ev(a) + ev(b),
+        KernelExpr::Sub(a, b) => ev(a) - ev(b),
+        KernelExpr::Mul(a, b) => ev(a) * ev(b),
+        KernelExpr::Div(a, b) => ev(a) / ev(b),
+        KernelExpr::Sqrt(a) => ev(a).lane_sqrt(),
+        KernelExpr::Abs(a) => ev(a).lane_abs(),
+        KernelExpr::MulAdd(a, b, c) => ev(c) + ev(a) * ev(b),
+    }
+}
+
+/// Replays a register program against [`eval_tree`] on the same
+/// battery shape as [`CompiledKernel::compile_checked`]: edge fills
+/// plus pseudo-random assignments of the deduplicated taps. Each output
+/// position must agree bit-for-bit with walking the folded expression
 /// on that position's reconstructed window.
-fn validate_against_bytecode(
-    ck: &CompiledKernel,
+fn validate_against_tree(
+    expr: &KernelExpr,
     prog: &RegProgram,
     table: &[Vec<usize>],
     datapath: Datapath,
 ) -> Result<(), EngineError> {
     let mut utap_vals = vec![0.0f64; prog.utaps.len()];
-    let mut window = vec![0.0f64; ck.taps()];
+    let mut window = vec![0.0f64; table.first().map_or(0, Vec::len)];
     let check = |utap_vals: &[f64], window: &mut [f64]| -> Result<(), EngineError> {
         let got = match datapath {
             Datapath::F64 => prog.eval_outputs::<f64>(utap_vals),
@@ -764,14 +812,14 @@ fn validate_against_bytecode(
                 window[k] = utap_vals[id];
             }
             let want = match datapath {
-                Datapath::F64 => ck.eval(window),
-                Datapath::F32 => ck.eval32(window),
+                Datapath::F64 => eval_tree::<f64>(expr, window),
+                Datapath::F32 => eval_tree::<f32>(expr, window).to_f64(),
             };
             let g = got[u];
             if !(g == want || (g.is_nan() && want.is_nan())) {
                 return Err(EngineError::KernelMismatch {
                     detail: format!(
-                        "unrolled output {u} ({datapath}): register program {g:?} vs bytecode \
+                        "register program output {u} ({datapath}): {g:?} vs expression \
                          {want:?} on utap values {utap_vals:?}"
                     ),
                 });
@@ -882,27 +930,31 @@ mod tests {
     }
 
     #[test]
-    fn group_sweep_matches_bytecode_per_output() {
+    fn group_sweep_matches_closure_per_output() {
         // Synthetic flat buffer with hand-picked utap bases: output u
-        // column t must equal evaluating the bytecode on the window
-        // reconstructed through the utap table.
+        // column t must equal the closure on the window reconstructed
+        // through the utap table, for partial, full and multi-chunk
+        // strides.
         let b = denoise();
         let ck = compiled(&b);
-        let (prog, table) = RegProgram::build(&ck, b.window(), 4).unwrap();
+        let compute = b.compute_fn();
         let vals: Vec<f64> = (0..512).map(|i| f64::from(i) * 0.375 - 17.0).collect();
-        // utap j reads vals starting at 3*j: arbitrary distinct runs.
-        let bases: Vec<usize> = (0..prog.utaps().len()).map(|j| 3 * j).collect();
-        for stride in [1usize, 31, 32, 33, 70] {
-            let mut out = vec![0.0f64; 4 * stride];
-            prog.sweep::<f64>(&bases, &vals, &mut out, stride);
-            for (u, row) in table.iter().enumerate() {
-                for t in 0..stride {
-                    let window: Vec<f64> = row.iter().map(|&id| vals[bases[id] + t]).collect();
-                    assert_eq!(
-                        out[u * stride + t],
-                        ck.eval(&window),
-                        "stride={stride} u={u} t={t}"
-                    );
+        for u in [1usize, 4] {
+            let (prog, table) = RegProgram::build(ck.folded_expr(), b.window(), u).unwrap();
+            // utap j reads vals starting at 3*j: arbitrary distinct runs.
+            let bases: Vec<usize> = (0..prog.utaps().len()).map(|j| 3 * j).collect();
+            for stride in [1usize, 31, 32, 33, 70] {
+                let mut out = vec![0.0f64; u * stride];
+                prog.sweep::<f64>(&bases, &vals, &mut out, stride);
+                for (pos, row) in table.iter().enumerate() {
+                    for t in 0..stride {
+                        let window: Vec<f64> = row.iter().map(|&id| vals[bases[id] + t]).collect();
+                        assert_eq!(
+                            out[pos * stride + t],
+                            compute(&window),
+                            "u={u} stride={stride} pos={pos} t={t}"
+                        );
+                    }
                 }
             }
         }
@@ -910,18 +962,28 @@ mod tests {
 
     #[test]
     fn f32_sweep_matches_eval32() {
+        // The f32 lane pass against the f32 walk of the folded
+        // expression, at the same strides and unroll factors.
         let b = sobel();
         let ck = compiled(&b);
-        let (prog, table) = RegProgram::build(&ck, b.window(), 2).unwrap();
         let vals: Vec<f64> = (0..256).map(|i| f64::from(i) * 0.7 - 40.0).collect();
-        let bases: Vec<usize> = (0..prog.utaps().len()).map(|j| 2 * j).collect();
-        let stride = 45; // one chunk plus a remainder
-        let mut out = vec![0.0f64; 2 * stride];
-        prog.sweep::<f32>(&bases, &vals, &mut out, stride);
-        for (u, row) in table.iter().enumerate() {
-            for t in 0..stride {
-                let window: Vec<f64> = row.iter().map(|&id| vals[bases[id] + t]).collect();
-                assert_eq!(out[u * stride + t], ck.eval32(&window), "u={u} t={t}");
+        for u in [1usize, 4] {
+            let (prog, table) = RegProgram::build(ck.folded_expr(), b.window(), u).unwrap();
+            let bases: Vec<usize> = (0..prog.utaps().len()).map(|j| 2 * j).collect();
+            for stride in [1usize, 31, 32, 33, 70] {
+                let mut out = vec![0.0f64; u * stride];
+                prog.sweep::<f32>(&bases, &vals, &mut out, stride);
+                for (pos, row) in table.iter().enumerate() {
+                    for t in 0..stride {
+                        let window: Vec<f64> = row.iter().map(|&id| vals[bases[id] + t]).collect();
+                        let want = eval_tree::<f32>(ck.folded_expr(), &window).to_f64();
+                        assert_eq!(
+                            out[pos * stride + t],
+                            want,
+                            "u={u} stride={stride} pos={pos} t={t}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -5,7 +5,7 @@
 //! the *compilable* twin of the closure datapath ([`crate::ComputeFn`]):
 //! the closure defines reference semantics, the expression carries the
 //! same formula in a form execution backends can lower (the engine
-//! compiles it to a flat stack bytecode and sweeps it over whole rows).
+//! compiles it to an SSA register program and sweeps it over whole rows).
 //!
 //! Expressions are built with ordinary Rust operators, so a kernel's
 //! expression reads exactly like its closure — and, crucially, parses

@@ -1038,7 +1038,7 @@ mod tests {
         let v = validate_report(&report);
         assert!(v.iter().any(|x| x.check == BoundCheck::SweepShape), "{v:?}");
         // The f32 datapath under the closure backend (scalar f32
-        // bytecode, used by cross-checks) is well-formed as long as the
+        // register pass, used by cross-checks) is well-formed as long as the
         // run does not also claim unrolled dispatch.
         let e = report.engine.as_mut().unwrap();
         e.backend = "closure".into();
