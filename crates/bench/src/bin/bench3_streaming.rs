@@ -38,11 +38,13 @@ fn main() -> ExitCode {
             }
             let engine = report.engine.as_ref().expect("engine section");
             let stream = report.stream.as_ref().expect("stream section");
+            let session = report.session.as_ref().expect("session section");
             println!(
-                "wrote {out_path}: {} outputs, {:.0} elem/s in-core vs {:.0} elem/s streaming, \
-                 peak resident {} of {} values",
+                "wrote {out_path}: {} outputs, {:.0} elem/s in-core vs {:.0} elem/s streaming \
+                 end to end ({:.0} elem/s busy), peak resident {} of {} values",
                 stream.outputs,
                 engine.throughput,
+                session.throughput,
                 stream.throughput,
                 stream.peak_resident,
                 stream.resident_bound
@@ -112,13 +114,16 @@ fn build_report() -> Result<MetricsReport, Box<dyn std::error::Error>> {
     if sink.values != run.outputs {
         return Err("streaming outputs diverged from the in-core engine".into());
     }
-    let streamed = streamed.stages[0]
+    let stage = streamed.stages[0]
         .stream
         .clone()
         .ok_or("session produced no streaming stage report")?;
 
+    // `stream` carries the stage's own busy time, `session` the run's
+    // end-to-end wall time.
     let mut report = MetricsReport::new(spec.name());
     report.engine = Some(engine.metrics());
-    report.stream = Some(streamed.metrics());
+    report.stream = Some(stage.metrics());
+    report.session = Some(streamed.metrics());
     Ok(report)
 }

@@ -408,7 +408,8 @@ fn measure(bench: &Benchmark) -> Result<Measurements, Box<dyn std::error::Error>
             .stream
             .clone()
             .ok_or("session produced no streaming stage report")?;
-        streaming_closure = streaming_closure.max(streamed.throughput());
+        // End to end: the stage's own throughput excludes source and sink.
+        streaming_closure = streaming_closure.max(session.throughput());
         let mut report = MetricsReport::new(spec.name());
         report.stream = Some(streamed.metrics());
         validate(&report);
@@ -440,7 +441,7 @@ fn measure(bench: &Benchmark) -> Result<Measurements, Box<dyn std::error::Error>
                 .stream
                 .clone()
                 .ok_or("session produced no streaming stage report")?;
-            *slot = slot.max(streamed.throughput());
+            *slot = slot.max(session.throughput());
             let mut report = MetricsReport::new(spec.name());
             report.stream = Some(streamed.metrics());
             validate(&report);

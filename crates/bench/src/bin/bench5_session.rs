@@ -386,11 +386,12 @@ fn measure(bench: &Benchmark) -> Result<Measurements, Box<dyn std::error::Error>
             .threads(4)
             .telemetry(spec.name())
             .run_streaming(&mut source, &mut sink)?;
-        let streamed = session.stages[0]
+        session.stages[0]
             .stream
             .as_ref()
             .ok_or("session produced no streaming stage report")?;
-        streaming = streaming.max(streamed.throughput());
+        // End to end: the stage's own throughput excludes source and sink.
+        streaming = streaming.max(session.throughput());
         let mut report = MetricsReport::new(spec.name());
         report.session = Some(session.metrics());
         validate(&report);

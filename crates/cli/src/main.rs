@@ -18,6 +18,9 @@
 //!                                  [--memory-budget ELEMS] [--metrics-out M.json]
 //! stencil fmt      <spec.stencil>                 canonicalize a spec file
 //! ```
+//!
+//! `--threads` sets the worker count for in-core bands; streaming bands
+//! run on the calling thread.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -46,7 +49,9 @@ fn usage() -> &'static str {
      inspect <file.sgrid>\n  \
      stencil serve    <jobs.manifest> [--workers N] [--queue-depth N] \
      [--memory-budget ELEMS] [--metrics-out M.json]\n\
-     \nsimulate/engine/serve exit non-zero when the runtime bound validator reports\n\
+     \n--threads sets the worker count for in-core bands; streaming bands run on the\n\
+     calling thread.\n\
+     simulate/engine/serve exit non-zero when the runtime bound validator reports\n\
      violations; pass --no-fail-on-violation to report them but exit 0."
 }
 

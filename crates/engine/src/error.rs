@@ -149,6 +149,12 @@ impl Error for EngineError {
     }
 }
 
+/// `n` as an in-memory index or length, or
+/// [`EngineError::DomainTooLarge`] when it does not fit `usize`.
+pub(crate) fn to_usize(n: u64) -> Result<usize, EngineError> {
+    usize::try_from(n).map_err(|_| EngineError::DomainTooLarge { points: n })
+}
+
 impl From<PlanError> for EngineError {
     fn from(e: PlanError) -> Self {
         EngineError::Plan(e)

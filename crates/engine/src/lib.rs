@@ -14,8 +14,10 @@
 //!   reduces to a base rank + offset into the flat input stream, so the
 //!   hot loop is pure indexed arithmetic with no per-element channel
 //!   simulation;
-//! * bands execute in parallel on scoped worker threads pulling from a
-//!   shared work queue, writing disjoint slices of one output buffer;
+//! * in-core bands execute in parallel on scoped worker threads pulling
+//!   from a shared work queue, writing disjoint slices of one output
+//!   buffer; streaming bands run one after another on the calling
+//!   thread;
 //! * kernels authored as [`stencil_kernels::KernelExpr`] trees compile
 //!   at plan time to an SSA register program ([`CompiledKernel`]) and
 //!   run through a vectorized *row sweep*: each window tap binds to a

@@ -178,7 +178,8 @@ pub struct StreamReport {
     pub outputs: u64,
     /// Bands executed.
     pub bands: usize,
-    /// Worker threads used per band.
+    /// Worker threads used per band: always 1, streaming bands run on
+    /// the calling thread.
     pub threads: usize,
     /// How the kernel datapath executed.
     pub backend: KernelBackend,
@@ -207,12 +208,15 @@ pub struct StreamReport {
     pub fast_rows: u64,
     /// Output rows that fell back to per-point gathers.
     pub gather_rows: u64,
-    /// End-to-end wall-clock time (tiling + streaming + execution).
+    /// The stage's own busy time: window eviction, band execution and
+    /// the feeds of upstream rows. Source pulls, sink pushes and
+    /// upstream stages are excluded; the session's `elapsed` is the
+    /// pipeline's wall time.
     pub elapsed: Duration,
 }
 
 impl StreamReport {
-    /// Outputs per wall-clock second; `0.0` below timer resolution, as
+    /// Outputs per busy second; `0.0` below timer resolution, as
     /// [`RunReport::throughput`].
     #[must_use]
     pub fn throughput(&self) -> f64 {
@@ -260,7 +264,7 @@ impl fmt::Display for StreamReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "streaming run: {} outputs on {} band(s) x {} thread(s) [{} kernel]{} in {:?} ({:.1} Melem/s)",
+            "streaming run: {} outputs on {} band(s) x {} thread(s) [{} kernel]{} busy {:?} ({:.1} Melem/s)",
             self.outputs,
             self.bands,
             self.threads,

@@ -145,7 +145,7 @@ pub(crate) struct RowStats {
 }
 
 impl RowStats {
-    /// Accumulates another tally (e.g. across parallel row chunks).
+    /// Accumulates another tally (e.g. across bands).
     pub fn merge(&mut self, other: RowStats) {
         self.sweep += other.sweep;
         self.fast += other.fast;
@@ -499,68 +499,6 @@ fn execute_tile<K: RowKernel + ?Sized>(
         elapsed: tile_started.elapsed(),
     })
 }
-
-/// Splits a band's iteration rows into contiguous per-worker chunks
-/// writing disjoint slices of the band buffer.
-pub(crate) fn execute_band_parallel<K: RowKernel + ?Sized>(
-    band_rows: &[Row],
-    offsets: &[Point],
-    win: &RankWindow<'_>,
-    kernel: &K,
-    out: &mut [f64],
-    workers: usize,
-) -> Result<RowStats, EngineError> {
-    // Chunk boundaries in row space; output slices follow row bases.
-    let per = band_rows.len().div_ceil(workers);
-    let mut chunks: Vec<(&[Row], &mut [f64])> = Vec::with_capacity(workers);
-    let mut rest_rows = band_rows;
-    let mut rest_out: &mut [f64] = out;
-    let mut consumed = 0u64;
-    while !rest_rows.is_empty() {
-        let take = per.min(rest_rows.len());
-        let (head, tail) = rest_rows.split_at(take);
-        let chunk_vals: u64 = head.iter().map(Row::len).sum();
-        let chunk_len = usize::try_from(chunk_vals)
-            .map_err(|_| EngineError::DomainTooLarge { points: chunk_vals })?;
-        if head.first().map(|r| r.base) != Some(consumed) || chunk_len > rest_out.len() {
-            return Err(EngineError::InconsistentIndex {
-                detail: "band iteration rows are not in contiguous rank order".into(),
-            });
-        }
-        let (o_head, o_tail) = rest_out.split_at_mut(chunk_len);
-        chunks.push((head, o_head));
-        rest_rows = tail;
-        rest_out = o_tail;
-        consumed += chunk_vals;
-    }
-
-    let queue = Mutex::new(chunks);
-    let results: Mutex<Vec<RowChunkResult>> = Mutex::new(Vec::with_capacity(workers));
-    crossbeam::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|_| loop {
-                let item = lock_recover(&queue).pop();
-                let Some((rows, out)) = item else { break };
-                let out_base = rows.first().map_or(0, |r| r.base);
-                let r = execute_rows(rows, out_base, offsets, win, kernel, out);
-                let failed = r.is_err();
-                lock_recover(&results).push(r);
-                if failed {
-                    break;
-                }
-            });
-        }
-    })
-    .map_err(|_| EngineError::WorkerPanic)?;
-
-    let mut stats = RowStats::default();
-    for r in into_inner_recover(results) {
-        stats.merge(r?);
-    }
-    Ok(stats)
-}
-
-type RowChunkResult = Result<RowStats, EngineError>;
 
 fn inconsistent_row(row: &Row, out_base: u64) -> EngineError {
     EngineError::InconsistentIndex {

@@ -34,12 +34,13 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use stencil_core::{MemorySystemPlan, TilePlan};
+use stencil_core::MemorySystemPlan;
 use stencil_kernels::{Benchmark, KernelStage};
 use stencil_telemetry::{MetricsReport, ServiceMetrics};
 
+use crate::chain::BandSchedule;
 use crate::compile::CompiledKernel;
-use crate::error::EngineError;
+use crate::error::{to_usize, EngineError};
 use crate::format::MappedGrid;
 use crate::input::InputGrid;
 use crate::session::{ExecMode, Session, SessionKernel};
@@ -278,8 +279,9 @@ struct CachedPlan {
     /// walks the whole domain, which would otherwise dominate small
     /// shard runs.
     index: stencil_polyhedral::DomainIndex,
-    /// The band schedule the session's mode key would build.
-    tile: TilePlan,
+    /// The band schedule the session's mode key would build, shared by
+    /// every shard session (band indexes included).
+    tile: Arc<BandSchedule>,
     /// Pre-compiled checked register program, when the benchmark has an
     /// expression.
     kernel: Option<CompiledKernel>,
@@ -312,6 +314,7 @@ impl CachedPlan {
             ExecMode::Streaming { .. } => plan.planned_residency_bound(&tile)?,
             _ => index.len(),
         };
+        let tile = Arc::new(BandSchedule::new(tile));
         let outputs = plan
             .iteration_domain()
             .count()
@@ -435,9 +438,7 @@ impl Inner {
     fn run_shard(&self, task: &ShardTask) -> Result<Vec<f64>, EngineError> {
         let cached = &task.cached;
         let in_idx = &cached.index;
-        let len = usize::try_from(in_idx.len()).map_err(|_| EngineError::DomainTooLarge {
-            points: in_idx.len(),
-        })?;
+        let len = to_usize(in_idx.len())?;
         let band = task
             .input
             .values()
@@ -454,7 +455,7 @@ impl Inner {
         .mode(task.mode)
         .threads(task.threads)
         .telemetry(task.label.clone());
-        session.seed_tiles(cached.tile.clone());
+        session.seed_tiles(Arc::clone(&cached.tile));
 
         let started = Instant::now();
         {
@@ -908,10 +909,7 @@ impl ShardGeometry {
                 .and_then(|o| o.checked_add(r_lo))
                 .and_then(|o| o.checked_add(r_hi))
                 .ok_or_else(too_large)?;
-            let input_offset =
-                usize::try_from(first_slab * slab).map_err(|_| EngineError::DomainTooLarge {
-                    points: first_slab * slab,
-                })?;
+            let input_offset = to_usize(first_slab * slab)?;
             bands.push(ShardBand {
                 extents: band_extents,
                 input_offset,

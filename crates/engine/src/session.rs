@@ -12,7 +12,7 @@
 //!     .kernel(SessionKernel::..)       // datapath: closure or compiled
 //!     .backend(KernelBackend::..)      // how compiled kernels execute
 //!     .mode(ExecMode::..)              // in-core / tiled / streaming
-//!     .threads(n)                      // worker parallelism
+//!     .threads(n)                      // in-core band workers
 //!     .run(&input)                     // or .run_streaming(src, sink)
 //! ```
 //!
@@ -64,18 +64,20 @@
 //! step. The report's `tile_plans_built` counter pins this — a
 //! well-prepared run reports 0.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use stencil_core::{MemorySystemPlan, TilePlan};
 use stencil_kernels::{ComputeFn, KernelStage};
 use stencil_polyhedral::{lex_cmp, DomainIndex};
 
-use crate::chain::{pump_chain, StreamStage};
+use crate::chain::{drive, stream_index, BandSchedule, StreamStage};
 use crate::compile::{CompiledKernel, Datapath, KernelBackend};
-use crate::error::EngineError;
+use crate::error::{to_usize, EngineError};
+use crate::format::MappedGrid;
 use crate::input::InputGrid;
 use crate::report::{GridIoReport, RunReport, StreamReport};
 use crate::rowexec::{
@@ -98,7 +100,9 @@ pub enum ExecMode {
         tiles: usize,
     },
     /// Bounded-memory streaming: only each stage's current halo window
-    /// stays resident.
+    /// stays resident. Every band runs on the calling thread, so each
+    /// stage is one sequential pipeline whatever [`Session::threads`]
+    /// requests.
     Streaming {
         /// Band height in outermost-dimension rows; `None` applies the
         /// plan's one-band-per-off-chip-stream sharding.
@@ -163,7 +167,11 @@ impl<'a> StageKernel<'a> {
     }
 }
 
-/// Which band schedule a stage's cached [`TilePlan`] was built for.
+/// A pipeline's streaming stages and each one's (backend, window taps,
+/// window rows).
+type StreamStages<'s> = (Vec<StreamStage<'s>>, Vec<(KernelBackend, u64, u64)>);
+
+/// Which band schedule a stage's cached [`BandSchedule`] was built for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TileKey {
     /// In-core execution with this many row bands.
@@ -203,8 +211,12 @@ struct Stage<'a> {
     /// `iterate` from paying tile-plan validation per step. Keyed (not
     /// single-slot) so a session alternating `run()` and
     /// `run_streaming()` — the CLI crosscheck path — keeps both
-    /// schedules warm instead of evicting one with the other.
-    tile: RefCell<Vec<(TileKey, TilePlan)>>,
+    /// schedules warm instead of evicting one with the other. Shared,
+    /// not cloned, into each run.
+    tile: RefCell<Vec<(TileKey, Arc<BandSchedule>)>>,
+    /// The streaming input index, checked for contiguous rank order on
+    /// the first streaming run and reused by every later one.
+    stream_idx: OnceCell<DomainIndex>,
 }
 
 impl<'a> Stage<'a> {
@@ -216,6 +228,7 @@ impl<'a> Stage<'a> {
             backend: None,
             unroll: None,
             tile: RefCell::new(Vec::new()),
+            stream_idx: OnceCell::new(),
         }
     }
 
@@ -224,10 +237,14 @@ impl<'a> Stage<'a> {
     /// construction) are tallied into `built` — the figure the
     /// `tile_plans_built` telemetry counter reports. Each distinct key
     /// gets its own cache entry; a key never evicts another.
-    fn tiles(&self, key: TileKey, built: Option<&Cell<u64>>) -> Result<TilePlan, EngineError> {
+    fn tiles(
+        &self,
+        key: TileKey,
+        built: Option<&Cell<u64>>,
+    ) -> Result<Arc<BandSchedule>, EngineError> {
         let mut slots = self.tile.borrow_mut();
-        if let Some((_, tp)) = slots.iter().find(|(k, _)| *k == key) {
-            return Ok(tp.clone());
+        if let Some((_, sched)) = slots.iter().find(|(k, _)| *k == key) {
+            return Ok(Arc::clone(sched));
         }
         let plan = self.plan.get();
         let tp = match key {
@@ -238,8 +255,18 @@ impl<'a> Stage<'a> {
         if let Some(c) = built {
             c.set(c.get() + 1);
         }
-        slots.push((key, tp.clone()));
-        Ok(tp)
+        let sched = Arc::new(BandSchedule::new(tp));
+        slots.push((key, Arc::clone(&sched)));
+        Ok(sched)
+    }
+
+    /// The stage's streaming input index, built and checked once.
+    fn stream_index(&self) -> Result<&DomainIndex, EngineError> {
+        if let Some(idx) = self.stream_idx.get() {
+            return Ok(idx);
+        }
+        let idx = stream_index(self.plan.get())?;
+        Ok(self.stream_idx.get_or_init(|| idx))
     }
     /// The compiled form, when this stage has one (for window checks).
     fn compiled(&self) -> Option<&CompiledKernel> {
@@ -504,7 +531,8 @@ impl<'a> Session<'a> {
         self
     }
 
-    /// Sets the worker thread count (`0` = machine parallelism).
+    /// Sets the worker thread count (`0` = machine parallelism) for
+    /// in-core bands. Streaming bands run on the calling thread.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -735,12 +763,12 @@ impl<'a> Session<'a> {
     /// `tile_plans_built == 0`. The seeded plan must be the one the
     /// mode key would build (the cache constructs it with the same
     /// plan functions); an already-warm key is left untouched.
-    pub(crate) fn seed_tiles(&self, tile_plan: TilePlan) {
+    pub(crate) fn seed_tiles(&self, sched: Arc<BandSchedule>) {
         let stage = &self.stages[0];
         let key = self.mode_key(stage.plan.get());
         let mut slots = stage.tile.borrow_mut();
         if !slots.iter().any(|(k, _)| *k == key) {
-            slots.push((key, tile_plan));
+            slots.push((key, sched));
         }
     }
 
@@ -839,12 +867,8 @@ impl<'a> Session<'a> {
     pub fn planned_residency_bound(&self, chunk_rows: Option<u64>) -> Result<u64, EngineError> {
         let mut total = 0u64;
         for stage in &self.stages {
-            let plan = stage.plan.get();
-            let tile_plan = match chunk_rows {
-                Some(n) => plan.tile_plan_chunked(n)?,
-                None => plan.tile_plan_from_streams()?,
-            };
-            total += plan.planned_residency_bound(&tile_plan)?;
+            let sched = stage.tiles(TileKey::Chunk(chunk_rows), None)?;
+            total += stage.plan.get().planned_residency_bound(&sched.tiles)?;
         }
         Ok(total)
     }
@@ -916,74 +940,59 @@ impl<'a> Session<'a> {
                 // out — mode stays orthogonal to the endpoints. A
                 // mapped source skips materialization entirely: the
                 // mapped payload *is* the input grid's value buffer.
-                let plan = self.stages[0].plan.get();
-                let in_idx = plan
+                let in_idx = self.stages[0]
+                    .plan
+                    .get()
                     .input_domain()
                     .index()
                     .map_err(|e| EngineError::Plan(e.into()))?;
                 let mapped = source.mapped();
-                let (run, mut grid_io) = if let Some(grid) = &mapped {
-                    let input = InputGrid::new(&in_idx, grid.values())?;
-                    let run = self.run_incore(&input)?;
-                    let io = GridIoReport {
-                        bytes_mapped: grid.bytes_mapped(),
-                        values_mapped: grid.values().len() as u64,
-                        values_copied: 0,
-                        output_values: 0,
-                        sink_finalized: false,
-                    };
-                    (run, io)
-                } else {
-                    let mut vals = Vec::new();
+                let mut copied = Vec::new();
+                if mapped.is_none() {
                     for row in in_idx.rows() {
-                        let len = usize::try_from(row.len())
-                            .map_err(|_| EngineError::DomainTooLarge { points: row.len() })?;
-                        let before = vals.len();
-                        source.fill_row(len, &mut vals)?;
-                        if vals.len() - before != len {
+                        let len = to_usize(row.len())?;
+                        let before = copied.len();
+                        source.fill_row(len, &mut copied)?;
+                        let got = copied.len() - before;
+                        if got != len {
                             return Err(EngineError::Source {
-                                detail: format!(
-                                    "source produced {} of {len} requested values",
-                                    vals.len() - before
-                                ),
+                                detail: format!("source produced {got} of {len} requested values"),
                             });
                         }
                     }
-                    let io = GridIoReport {
-                        bytes_mapped: 0,
-                        values_mapped: 0,
-                        values_copied: vals.len() as u64,
-                        output_values: 0,
-                        sink_finalized: false,
-                    };
-                    let input = InputGrid::new(&in_idx, &vals)?;
-                    (self.run_incore(&input)?, io)
-                };
-                let out_plan = self.last_stage()?.plan.get();
-                let out_idx = out_plan
+                }
+                let values = mapped.as_ref().map_or(&copied[..], MappedGrid::values);
+                let run = self.run_incore(&InputGrid::new(&in_idx, values)?)?;
+                let out_idx = self
+                    .last_stage()?
+                    .plan
+                    .get()
                     .iteration_domain()
                     .index()
                     .map_err(|e| EngineError::Plan(e.into()))?;
+                let mut rest = &run.outputs[..];
                 for row in out_idx.rows() {
-                    let start = usize::try_from(row.base)
-                        .map_err(|_| EngineError::DomainTooLarge { points: row.base })?;
-                    let len = usize::try_from(row.len())
-                        .map_err(|_| EngineError::DomainTooLarge { points: row.len() })?;
-                    let slice = run.outputs.get(start..start + len).ok_or_else(|| {
-                        EngineError::InconsistentIndex {
-                            detail: format!(
-                                "output row at {} exceeds the output buffer",
-                                row.prefix
-                            ),
-                        }
-                    })?;
-                    sink.push_row(slice)?;
-                    grid_io.output_values += slice.len() as u64;
+                    let (head, tail) =
+                        rest.split_at_checked(to_usize(row.len())?).ok_or_else(|| {
+                            EngineError::InconsistentIndex {
+                                detail: format!(
+                                    "output row at {} exceeds the output buffer",
+                                    row.prefix
+                                ),
+                            }
+                        })?;
+                    sink.push_row(head)?;
+                    rest = tail;
                 }
                 sink.finish()?;
-                grid_io.sink_finalized = true;
                 let mut report = run.report;
-                report.grid_io = Some(grid_io);
+                report.grid_io = Some(GridIoReport {
+                    bytes_mapped: mapped.as_ref().map_or(0, MappedGrid::bytes_mapped),
+                    values_mapped: mapped.as_ref().map_or(0, |g| g.values().len() as u64),
+                    values_copied: copied.len() as u64,
+                    output_values: (run.outputs.len() - rest.len()) as u64,
+                    sink_finalized: true,
+                });
                 Ok(report)
             }
         }
@@ -1003,15 +1012,15 @@ impl<'a> Session<'a> {
         for (i, stage) in self.stages.iter().enumerate() {
             let sp = self.resolve(stage)?;
             let plan = sp.plan;
-            let tp_owned;
+            let sched;
             let tile_plan = match (i, self.tile_plan) {
                 (0, Some(tp)) => tp,
                 _ => {
-                    tp_owned = stage.tiles(
+                    sched = stage.tiles(
                         TileKey::Bands(self.bands_for(plan)),
                         Some(&self.tiles_built),
                     )?;
-                    &tp_owned
+                    &sched.tiles
                 }
             };
             // In core, a stage's whole input grid is resident.
@@ -1097,8 +1106,34 @@ impl<'a> Session<'a> {
         })
     }
 
+    /// One [`StreamStage`] per pipeline stage at `chunk_rows`, plus each
+    /// stage's resolved (backend, window taps, window rows).
+    pub(crate) fn stream_stages(
+        &self,
+        chunk_rows: Option<u64>,
+    ) -> Result<StreamStages<'_>, EngineError> {
+        let mut machines = Vec::with_capacity(self.stages.len());
+        let mut shapes = Vec::with_capacity(self.stages.len());
+        for stage in &self.stages {
+            let sp = self.resolve(stage)?;
+            let sched = stage.tiles(TileKey::Chunk(chunk_rows), Some(&self.tiles_built))?;
+            shapes.push((sp.backend, sp.window_taps(), sp.window_rows()));
+            machines.push(StreamStage::new(
+                sp.plan,
+                sched,
+                stage.stream_index()?,
+                sp.kernel,
+                sp.backend,
+                chunk_rows,
+            ));
+        }
+        Ok((machines, shapes))
+    }
+
     /// Chained streaming execution: one [`StreamStage`] per kernel,
     /// pumped back to front so upstream rows are produced on demand.
+    /// Each stage reports its own busy time; the session reports the
+    /// pipeline's wall time.
     fn stream_into(
         &self,
         source: &mut dyn RowSource,
@@ -1107,22 +1142,7 @@ impl<'a> Session<'a> {
     ) -> Result<SessionReport, EngineError> {
         let started = Instant::now();
         let built_before = self.tiles_built.get();
-        let mut machines: Vec<StreamStage<'_>> = Vec::with_capacity(self.stages.len());
-        let mut stage_shapes = Vec::with_capacity(self.stages.len());
-        for stage in &self.stages {
-            let sp = self.resolve(stage)?;
-            let tile_plan = stage.tiles(TileKey::Chunk(chunk_rows), Some(&self.tiles_built))?;
-            stage_shapes.push((sp.backend, sp.window_taps(), sp.window_rows()));
-            machines.push(StreamStage::new(
-                sp.plan,
-                tile_plan,
-                sp.kernel,
-                sp.backend,
-                chunk_rows,
-                self.threads,
-            )?);
-        }
-
+        let (mut machines, stage_shapes) = self.stream_stages(chunk_rows)?;
         // A mapped source puts the whole payload logically resident in
         // the first stage: bands execute as slices of the mapped pages
         // and no value is ever copied into the halo window.
@@ -1132,19 +1152,12 @@ impl<'a> Session<'a> {
             machines[0].attach_mapped(grid)?;
         }
 
-        let mut buf = Vec::new();
-        let mut output_values = 0u64;
-        while let Some(row) = pump_chain(&mut machines, source, &mut buf)? {
-            output_values += row.len() as u64;
-            sink.push_row(&row)?;
-        }
-        sink.finish()?;
+        let output_values = drive(&mut machines, source, sink)?;
 
         let elapsed = started.elapsed();
         let mut peak = 0u64;
         let mut bound = 0u64;
         let mut stage_peaks = Vec::with_capacity(machines.len());
-        let mut threads_used = 1usize;
         let mut stage_reports = Vec::with_capacity(machines.len());
         for ((stage, m), &(backend, window_taps, window_rows)) in
             self.stages.iter().zip(&machines).zip(&stage_shapes)
@@ -1152,8 +1165,6 @@ impl<'a> Session<'a> {
             peak += m.peak_resident();
             bound += m.runtime_bound();
             stage_peaks.push(m.peak_resident());
-            let r = m.report(elapsed);
-            threads_used = threads_used.max(r.threads);
             stage_reports.push(StageReport {
                 label: stage.label.clone(),
                 backend,
@@ -1161,7 +1172,7 @@ impl<'a> Session<'a> {
                 window_rows,
                 resident_bound: m.runtime_bound(),
                 engine: None,
-                stream: Some(r),
+                stream: Some(m.report()),
             });
         }
         let (values_mapped, values_copied) = if machines[0].is_mapped() {
@@ -1172,7 +1183,7 @@ impl<'a> Session<'a> {
         Ok(SessionReport {
             label: self.label.clone(),
             mode: self.mode,
-            threads: threads_used,
+            threads: 1,
             stages: stage_reports,
             peak_resident: peak,
             resident_bound: bound,
@@ -1258,15 +1269,16 @@ impl<'a> Session<'a> {
 
         for k in 1..=max_steps {
             let plan = derived.as_ref().unwrap_or(base_plan);
+            let sched: Arc<BandSchedule>;
             let tp_owned: TilePlan;
             let tile_plan: &TilePlan = match (k, self.tile_plan) {
                 (1, Some(tp)) => tp,
                 (1, None) => {
-                    tp_owned = stage.tiles(
+                    sched = stage.tiles(
                         TileKey::Bands(self.bands_for(plan)),
                         Some(&self.tiles_built),
                     )?;
-                    &tp_owned
+                    &sched.tiles
                 }
                 _ => {
                     // Derived step plans are fresh objects; their band
@@ -1382,15 +1394,10 @@ fn max_abs_delta(
             .ok_or_else(|| EngineError::InconsistentIndex {
                 detail: format!("step output row at {} has no aligned input row", row.prefix),
             })?;
-        let olen = usize::try_from(row.len())
-            .map_err(|_| EngineError::DomainTooLarge { points: row.len() })?;
-        let ostart = usize::try_from(row.base)
-            .map_err(|_| EngineError::DomainTooLarge { points: row.base })?;
+        let olen = to_usize(row.len())?;
+        let ostart = to_usize(row.base)?;
         let skip = u64::try_from(row.lo - irow.lo).expect("checked lo <= row.lo");
-        let istart =
-            usize::try_from(irow.base + skip).map_err(|_| EngineError::DomainTooLarge {
-                points: irow.base + skip,
-            })?;
+        let istart = to_usize(irow.base + skip)?;
         let (o, i) = match (
             outs.get(ostart..ostart + olen),
             ins.get(istart..istart + olen),
@@ -1448,7 +1455,8 @@ pub struct SessionReport {
     pub label: Option<String>,
     /// The mode the session executed under.
     pub mode: ExecMode,
-    /// Worker threads actually used (max across stages).
+    /// Worker threads actually used (max across stages; 1 when
+    /// streaming).
     pub threads: usize,
     /// Per-stage statistics, pipeline order.
     pub stages: Vec<StageReport>,

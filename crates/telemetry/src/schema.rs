@@ -372,7 +372,8 @@ pub struct StreamMetrics {
     pub outputs: u64,
     /// Bands executed.
     pub bands: usize,
-    /// Worker threads used per band.
+    /// Worker threads used per band (1: streaming bands run on the
+    /// calling thread).
     pub threads: usize,
     /// Kernel backend that executed the datapath (`"compiled"` for the
     /// register-program row sweep, `"closure"` otherwise).
@@ -403,9 +404,10 @@ pub struct StreamMetrics {
     pub fast_rows: u64,
     /// Output rows that fell back to per-point gathers.
     pub gather_rows: u64,
-    /// End-to-end wall-clock nanoseconds.
+    /// The stage's own busy nanoseconds: eviction, band execution and
+    /// feeds, with the source, the sink and upstream stages excluded.
     pub elapsed_ns: u64,
-    /// Outputs per second (0.0 when below timer resolution).
+    /// Outputs per busy second (0.0 when below timer resolution).
     pub throughput: f64,
 }
 

@@ -38,6 +38,8 @@
 //!   step budget, its per-step telemetry is internally consistent, the
 //!   observed peak stayed within the planned T×halo budget, and a
 //!   converged run's final max-abs delta actually fell to epsilon.
+//! * [`BoundCheck::StageTiming`] — each pipeline stage's own elapsed
+//!   time fits within the session's wall time.
 //! * [`BoundCheck::GridIoConsistent`] — a session's grid-I/O block is
 //!   internally consistent: mapped values imply mapped bytes and fit
 //!   within them, and the output sink was finalized (flushed).
@@ -78,6 +80,10 @@ pub enum BoundCheck {
     /// observed peak stayed within the planned T×halo budget, and a
     /// converged run's final delta fell to epsilon.
     IterateResidency,
+    /// Session pipeline: every stage's own elapsed time (its streaming
+    /// busy time or its in-core run time) is at most the session's
+    /// wall time.
+    StageTiming,
     /// Grid I/O accounting is internally consistent: a run that mapped
     /// zero bytes claims no mapped values, mapped values fit within the
     /// mapped bytes (8 bytes per f64), and the sink was finalized
@@ -116,6 +122,7 @@ impl core::fmt::Display for BoundCheck {
             Self::ResidencyBound => "residency-bound (Sec. 2.3)",
             Self::ChainResidency => "chain-residency (Sec. 2.3)",
             Self::IterateResidency => "iterate-residency (Sec. 2.3)",
+            Self::StageTiming => "stage-timing",
             Self::GridIoConsistent => "grid-io-consistent",
             Self::ServiceResidency => "service-residency",
             Self::BackendConsistent => "backend-consistent",
@@ -527,7 +534,8 @@ fn validate_service(s: &crate::schema::ServiceMetrics, v: &mut Vec<BoundViolatio
 /// Checks a session pipeline's chained-residency claims: the summed
 /// peak never exceeds the summed per-stage halo-window bound, each
 /// stage individually honours its own declared bound, each stage's
-/// declared backend matches what its sub-report actually ran, and
+/// declared backend matches what its sub-report actually ran, no
+/// stage's own elapsed time exceeds the session's wall time, and
 /// adjacent streaming stages conserve the rows flowing between them.
 fn validate_session(s: &crate::schema::SessionMetrics, v: &mut Vec<BoundViolation>) {
     if s.peak_resident > s.resident_bound {
@@ -578,6 +586,21 @@ fn validate_session(s: &crate::schema::SessionMetrics, v: &mut Vec<BoundViolatio
     }
     for (i, stage) in s.stages.iter().enumerate() {
         let loc = format!("session stage {i} ({:?})", stage.label);
+        let stage_ns = [
+            stage.stream.as_ref().map(|m| m.elapsed_ns),
+            stage.engine.as_ref().map(|m| m.elapsed_ns),
+        ];
+        if let Some(ns) = stage_ns.into_iter().flatten().find(|&ns| ns > s.elapsed_ns) {
+            violation(
+                v,
+                BoundCheck::StageTiming,
+                &loc,
+                format!(
+                    "stage elapsed {ns} ns exceeds the session's {} ns",
+                    s.elapsed_ns
+                ),
+            );
+        }
         if let Some(sm) = &stage.stream {
             if sm.peak_resident > sm.resident_bound {
                 violation(
@@ -1212,10 +1235,51 @@ mod tests {
             && x.detail.contains("stream report ran")));
         report.session.as_mut().unwrap().stages[0].backend = "closure".into();
 
+        // A stage cannot be busy for longer than the whole session ran.
+        report.session.as_mut().unwrap().stages[1]
+            .stream
+            .as_mut()
+            .unwrap()
+            .elapsed_ns = 251;
+        let v = validate_report(&report);
+        assert!(v
+            .iter()
+            .any(|x| x.check == BoundCheck::StageTiming && x.location.contains("stage 1")));
+        assert!(v[0].to_string().contains("stage-timing"), "{}", v[0]);
+        report.session.as_mut().unwrap().stages[1]
+            .stream
+            .as_mut()
+            .unwrap()
+            .elapsed_ns = 250;
+        assert_eq!(validate_report(&report), Vec::new());
+
         // Non-finite session throughput is rejected like any other.
         report.session.as_mut().unwrap().throughput = f64::NAN;
         let v = validate_report(&report);
         assert!(v.iter().any(|x| x.check == BoundCheck::Finite));
+    }
+
+    #[test]
+    fn committed_bench_reports_keep_stage_times_within_their_session() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let mut sessions = 0;
+        for entry in std::fs::read_dir(root).unwrap() {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+                continue;
+            }
+            let Ok(report) = MetricsReport::parse(&std::fs::read_to_string(&path).unwrap()) else {
+                continue; // a flat bench record, not a telemetry report
+            };
+            sessions += usize::from(report.session.is_some());
+            let v = validate_report(&report);
+            assert!(
+                !v.iter().any(|x| x.check == BoundCheck::StageTiming),
+                "{name}: {v:?}"
+            );
+        }
+        assert!(sessions > 0, "no committed report carries a session");
     }
 
     #[test]

@@ -381,3 +381,42 @@ fn chained_session_residency_stays_near_one_stage() {
         full_intermediate
     );
 }
+
+#[test]
+fn chained_stages_report_their_own_busy_time() {
+    let bench = denoise();
+    let blur = blur3x3();
+    let spec = bench.spec_for(&[768, 1024]).expect("spec");
+    let plan = MemorySystemPlan::generate(&spec).expect("plan");
+    let n = plan.input_domain().index().expect("input index").len();
+    let in_vals = input_values(n);
+    let compute = bench.compute_fn();
+    let session = Session::new(&plan)
+        .kernel(SessionKernel::Closure(&compute))
+        .mode(ExecMode::Streaming {
+            chunk_rows: Some(64),
+        })
+        .threads(4)
+        .then(&blur.stage())
+        .expect("chain");
+    let mut sink = VecSink::new();
+    let report = session
+        .run_streaming(&mut SliceSource::new(&in_vals), &mut sink)
+        .expect("streamed chain");
+    let busy: Vec<_> = report
+        .stages
+        .iter()
+        .map(|s| s.stream.as_ref().expect("stream report").elapsed)
+        .collect();
+    assert!(busy.iter().all(|b| !b.is_zero()), "{busy:?}");
+    assert!(busy.iter().sum::<std::time::Duration>() <= report.elapsed);
+    // Every streaming band runs on the calling thread.
+    assert_eq!(report.threads, 1);
+    assert!(report
+        .stages
+        .iter()
+        .all(|s| s.stream.as_ref().unwrap().threads == 1));
+    let mut metrics = stencil_telemetry::MetricsReport::new("busy");
+    metrics.session = Some(report.metrics());
+    assert_eq!(stencil_telemetry::validate_report(&metrics), Vec::new());
+}
