@@ -19,8 +19,8 @@
 //! stencil fmt      <spec.stencil>                 canonicalize a spec file
 //! ```
 //!
-//! `--threads` sets the worker count for in-core bands; streaming bands
-//! run on the calling thread.
+//! `--threads` sets the worker count of in-core runs, which share each
+//! band's row runs; streaming bands run on the calling thread.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -49,8 +49,8 @@ fn usage() -> &'static str {
      inspect <file.sgrid>\n  \
      stencil serve    <jobs.manifest> [--workers N] [--queue-depth N] \
      [--memory-budget ELEMS] [--metrics-out M.json]\n\
-     \n--threads sets the worker count for in-core bands; streaming bands run on the\n\
-     calling thread.\n\
+     \n--threads sets the worker count of in-core runs, which share each band's row\n\
+     runs; streaming bands run on the calling thread.\n\
      simulate/engine/serve exit non-zero when the runtime bound validator reports\n\
      violations; pass --no-fail-on-violation to report them but exit 0."
 }

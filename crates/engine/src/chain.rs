@@ -43,20 +43,28 @@ use crate::report::StreamReport;
 use crate::rowexec::{execute_rows, plan_offsets, RankWindow, RowKernel, RowStats};
 use crate::stream::{RowSink, RowSource};
 
-/// A stage's band schedule plus each band's iteration index, built on
-/// first use and shared by every run over the schedule.
+/// A stage's band schedule plus each band's iteration index and halo
+/// count, built on first use and shared by every run over the schedule
+/// — streaming and in core alike.
 #[derive(Debug)]
 pub(crate) struct BandSchedule {
     pub(crate) tiles: TilePlan,
     bands: Vec<OnceLock<DomainIndex>>,
+    halos: Vec<OnceLock<u64>>,
     caps: OnceLock<(usize, usize)>,
 }
 
 impl BandSchedule {
     pub(crate) fn new(tiles: TilePlan) -> Self {
         let bands = tiles.tiles().iter().map(|_| OnceLock::new()).collect();
+        let halos = tiles.tiles().iter().map(|_| OnceLock::new()).collect();
         let caps = OnceLock::new();
-        Self { tiles, bands, caps }
+        Self {
+            tiles,
+            bands,
+            halos,
+            caps,
+        }
     }
 
     /// The widest band halo window over `in_idx` and the longest band,
@@ -81,7 +89,7 @@ impl BandSchedule {
     }
 
     /// Band `i`'s iteration index, built and cached on first use.
-    fn band(&self, i: usize) -> Result<&DomainIndex, EngineError> {
+    pub(crate) fn band(&self, i: usize) -> Result<&DomainIndex, EngineError> {
         if let Some(idx) = self.bands[i].get() {
             return Ok(idx);
         }
@@ -90,6 +98,19 @@ impl BandSchedule {
             .index()
             .map_err(|e| EngineError::Plan(e.into()))?;
         Ok(self.bands[i].get_or_init(|| idx))
+    }
+
+    /// Input elements in band `i`'s halo, counted and cached on first
+    /// use.
+    pub(crate) fn halo(&self, i: usize) -> Result<u64, EngineError> {
+        if let Some(&n) = self.halos[i].get() {
+            return Ok(n);
+        }
+        let n = self.tiles.tiles()[i]
+            .halo_domain
+            .count()
+            .map_err(|e| EngineError::Plan(e.into()))?;
+        Ok(*self.halos[i].get_or_init(|| n))
     }
 }
 

@@ -14,10 +14,11 @@
 //!   reduces to a base rank + offset into the flat input stream, so the
 //!   hot loop is pure indexed arithmetic with no per-element channel
 //!   simulation;
-//! * in-core bands execute in parallel on scoped worker threads pulling
-//!   from a shared work queue, writing disjoint slices of one output
-//!   buffer; streaming bands run one after another on the calling
-//!   thread;
+//! * in core, every band is cut into row runs that the calling thread
+//!   and scoped helper threads pull from a shared work queue, each run
+//!   writing a disjoint slice of one output buffer — so even the
+//!   default single band uses every worker; streaming bands run one
+//!   after another on the calling thread;
 //! * kernels authored as [`stencil_kernels::KernelExpr`] trees compile
 //!   at plan time to an SSA register program ([`CompiledKernel`]) and
 //!   run through a vectorized *row sweep*: each window tap binds to a

@@ -36,7 +36,8 @@ pub struct TileReport {
     pub fast_rows: u64,
     /// Output rows that fell back to per-point gathers.
     pub gather_rows: u64,
-    /// Wall-clock time this band's worker spent executing it.
+    /// The band's wall span: from the start of its first row run to
+    /// the end of its last, whichever workers ran them.
     pub elapsed: Duration,
 }
 
@@ -50,7 +51,8 @@ pub struct RunReport {
     pub outputs: u64,
     /// Bands executed.
     pub tiles: usize,
-    /// Worker threads used.
+    /// Workers that ran the bands' row runs, the calling thread
+    /// included.
     pub threads: usize,
     /// How the kernel datapath executed.
     pub backend: KernelBackend,

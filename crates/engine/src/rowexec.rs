@@ -18,12 +18,14 @@
 //! * **gather rows** — some tap is non-contiguous or non-resident: the
 //!   defensive per-point fallback with exact error reporting.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use stencil_core::{MemorySystemPlan, Tile, TilePlan};
+use stencil_core::MemorySystemPlan;
 use stencil_polyhedral::{DomainIndex, Point, Row};
 
+use crate::chain::BandSchedule;
 use crate::compile::{CompiledKernel, Datapath};
 use crate::error::EngineError;
 use crate::input::InputGrid;
@@ -145,7 +147,7 @@ pub(crate) struct RowStats {
 }
 
 impl RowStats {
-    /// Accumulates another tally (e.g. across bands).
+    /// Accumulates another tally (e.g. across bands or row runs).
     pub fn merge(&mut self, other: RowStats) {
         self.sweep += other.sweep;
         self.fast += other.fast;
@@ -363,21 +365,86 @@ pub(crate) fn check_kernel_window(
     Ok(())
 }
 
-/// Resolves the worker count: `0` requests the machine's parallelism,
-/// and no run uses more workers than it has bands (or rows).
-pub(crate) fn threads_for(requested: usize, tiles: usize) -> usize {
-    let hw = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let t = if requested == 0 { hw } else { requested };
-    t.clamp(1, tiles.max(1))
+/// Row runs queued per worker when a run has more than one worker:
+/// finer than one run per worker, so the shared queue still balances
+/// when a worker is descheduled on a noisy host.
+const RUNS_PER_WORKER: usize = 4;
+
+/// Resolves a requested worker count: `0` requests the machine's
+/// parallelism.
+fn requested_workers(requested: usize) -> usize {
+    match requested {
+        0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        n => n,
+    }
 }
 
-/// The in-core tiled executor: validates the input, splits the output
-/// buffer into disjoint per-band slices, and runs the bands on a scoped
-/// worker pool pulling from a shared queue. This is the single real
+/// One queued work item of [`execute_tiled`]: a contiguous run of one
+/// band's iteration rows and the disjoint slice of the band's output it
+/// writes (whose first slot is band-local rank `out_base`).
+struct RowRun<'r> {
+    band: usize,
+    rows: &'r [Row],
+    out_base: u64,
+    out: &'r mut [f64],
+}
+
+/// A finished [`RowRun`]: its band, wall span and row tallies.
+struct RunDone {
+    band: usize,
+    started: Instant,
+    ended: Instant,
+    stats: RowStats,
+}
+
+/// Cuts one band's iteration rows into at most `runs` contiguous row
+/// runs of a multiple of `unroll` rows each, slicing `out` (the band's
+/// output) at the runs' first row bases.
+fn cut_band<'r>(
+    band: usize,
+    rows: &'r [Row],
+    runs: usize,
+    unroll: usize,
+    mut out: &'r mut [f64],
+    queue: &mut Vec<RowRun<'r>>,
+) -> Result<(), EngineError> {
+    let step = rows.len().div_ceil(runs.max(1)).div_ceil(unroll).max(1) * unroll;
+    let mut out_base = 0u64;
+    let mut chunks = rows.chunks(step).peekable();
+    while let Some(chunk) = chunks.next() {
+        let end = chunks
+            .peek()
+            .map_or(out_base + out.len() as u64, |next| next[0].base);
+        let len = end
+            .checked_sub(out_base)
+            .and_then(|n| usize::try_from(n).ok())
+            .filter(|&n| n <= out.len())
+            .ok_or_else(|| inconsistent_row(&chunk[0], out_base))?;
+        let (head, tail) = out.split_at_mut(len);
+        queue.push(RowRun {
+            band,
+            rows: chunk,
+            out_base,
+            out: head,
+        });
+        out = tail;
+        out_base = end;
+    }
+    Ok(())
+}
+
+/// The in-core tiled executor: validates the input, cuts every band of
+/// `sched` into row runs writing disjoint slices of one output buffer,
+/// and runs them on the calling thread plus up to `threads - 1` scoped
+/// helpers pulling from a shared queue. Bands follow the plan (one per
+/// off-chip stream, or the explicit tile count); the row runs are the
+/// unit of parallelism, so even a single band spreads over every
+/// worker. In core the whole input is resident, so a run reads its taps
+/// in place: no halo re-fetch, no copy. This is the single real
 /// implementation behind the session's `InCore`/`Tiled` modes.
 pub(crate) fn execute_tiled<K: RowKernel + ?Sized>(
     plan: &MemorySystemPlan,
-    tile_plan: &TilePlan,
+    sched: &BandSchedule,
     input: &InputGrid<'_>,
     kernel: &K,
     threads: usize,
@@ -397,16 +464,27 @@ pub(crate) fn execute_tiled<K: RowKernel + ?Sized>(
 
     let offsets = plan_offsets(plan);
     let started = Instant::now();
+    let tile_plan = &sched.tiles;
     let total =
         usize::try_from(tile_plan.total_outputs()).map_err(|_| EngineError::DomainTooLarge {
             points: tile_plan.total_outputs(),
         })?;
     let mut outputs = vec![0.0f64; total];
 
-    // Disjoint per-band output slices: bands are contiguous rank ranges.
-    let mut work: Vec<(&Tile, &mut [f64])> = Vec::with_capacity(tile_plan.tile_count());
+    // One worker sweeps each band whole; several cut every band into
+    // about RUNS_PER_WORKER runs per worker, shared across the bands.
+    let unroll = kernel.unrolled().map_or(1, UnrolledProgram::unroll);
+    let workers = requested_workers(threads);
+    let runs_per_band = match workers {
+        1 => 1,
+        w => (RUNS_PER_WORKER * w).div_ceil(tile_plan.tile_count().max(1)),
+    };
+
+    // Disjoint per-band output slices (bands are contiguous rank
+    // ranges), each cut into disjoint per-run slices.
+    let mut work: Vec<RowRun<'_>> = Vec::new();
     let mut rest: &mut [f64] = &mut outputs;
-    for tile in tile_plan.tiles() {
+    for (i, tile) in tile_plan.tiles().iter().enumerate() {
         let len = usize::try_from(tile.len)
             .map_err(|_| EngineError::DomainTooLarge { points: tile.len })?;
         if len > rest.len() {
@@ -419,85 +497,107 @@ pub(crate) fn execute_tiled<K: RowKernel + ?Sized>(
             });
         }
         let (head, tail) = rest.split_at_mut(len);
-        work.push((tile, head));
+        cut_band(
+            i,
+            sched.band(i)?.rows(),
+            runs_per_band,
+            unroll,
+            head,
+            &mut work,
+        )?;
         rest = tail;
     }
-    // Shared work queue; idle workers steal the next unclaimed band.
-    work.reverse(); // pop() hands out bands in rank order
+    let worker_count = workers.clamp(1, work.len().max(1));
+    let run_count = work.len();
+
+    // Shared work queue; idle workers take the next unclaimed run.
+    work.reverse(); // pop() hands out runs in rank order
     let queue = Mutex::new(work);
-    let results: Mutex<Vec<TileReport>> = Mutex::new(Vec::with_capacity(tile_plan.tile_count()));
+    let done: Mutex<Vec<RunDone>> = Mutex::new(Vec::with_capacity(run_count));
     let failure: Mutex<Option<EngineError>> = Mutex::new(None);
-
-    let worker_count = threads_for(threads, tile_plan.tile_count());
-    crossbeam::scope(|s| {
-        for _ in 0..worker_count {
-            s.spawn(|_| loop {
-                let item = lock_recover(&queue).pop();
-                let Some((tile, out)) = item else { break };
-                match execute_tile(tile, &offsets, input, kernel, out) {
-                    Ok(report) => lock_recover(&results).push(report),
-                    Err(e) => {
-                        lock_recover(&failure).get_or_insert(e);
-                        break;
-                    }
-                }
-            });
+    let win = RankWindow {
+        idx: input.index(),
+        vals: input.values(),
+        base: 0,
+    };
+    let drain = || loop {
+        let item = lock_recover(&queue).pop();
+        let Some(run) = item else { break };
+        let run_started = Instant::now();
+        match execute_rows(run.rows, run.out_base, &offsets, &win, kernel, run.out) {
+            Ok(stats) => lock_recover(&done).push(RunDone {
+                band: run.band,
+                started: run_started,
+                ended: Instant::now(),
+                stats,
+            }),
+            Err(e) => {
+                lock_recover(&failure).get_or_insert(e);
+                break;
+            }
         }
-    })
-    .map_err(|_| EngineError::WorkerPanic)?;
-
+    };
+    // The calling thread drains the queue too, so a one-worker run
+    // spawns nothing; its share is unwind-guarded like a helper's.
+    let own = || catch_unwind(AssertUnwindSafe(&drain)).is_ok();
+    let caller_ok = if worker_count == 1 {
+        own()
+    } else {
+        crossbeam::scope(|s| {
+            for _ in 1..worker_count {
+                s.spawn(|_| drain());
+            }
+            own()
+        })
+        .map_err(|_| EngineError::WorkerPanic)?
+    };
+    if !caller_ok {
+        return Err(EngineError::WorkerPanic);
+    }
     if let Some(e) = into_inner_recover(failure) {
         return Err(e);
     }
-    let mut per_tile = into_inner_recover(results);
-    per_tile.sort_by_key(|t| t.id);
+
+    // A band's report sums its runs' rows; its elapsed time is the wall
+    // span from its first run's start to its last run's end.
+    let mut bands = vec![(RowStats::default(), None::<(Instant, Instant)>); tile_plan.tile_count()];
+    for run in into_inner_recover(done) {
+        let (stats, span) = &mut bands[run.band];
+        stats.merge(run.stats);
+        let (first, last) = span.get_or_insert((run.started, run.ended));
+        *first = (*first).min(run.started);
+        *last = (*last).max(run.ended);
+    }
+    let per_tile = tile_plan
+        .tiles()
+        .iter()
+        .zip(bands)
+        .enumerate()
+        .map(|(i, (tile, (stats, span)))| {
+            Ok(TileReport {
+                id: tile.id,
+                outputs: tile.len,
+                halo_elements: sched.halo(i)?,
+                sweep_rows: stats.sweep,
+                fast_rows: stats.fast,
+                gather_rows: stats.gather,
+                elapsed: span.map_or(Duration::ZERO, |(first, last)| last - first),
+            })
+        })
+        .collect::<Result<Vec<_>, EngineError>>()?;
 
     let report = RunReport {
         outputs: tile_plan.total_outputs(),
         tiles: tile_plan.tile_count(),
         threads: worker_count,
         backend,
-        unroll: kernel.unrolled().map_or(1, UnrolledProgram::unroll),
+        unroll,
         datapath: kernel.datapath(),
         halo_elements: per_tile.iter().map(|t| t.halo_elements).sum(),
         elapsed: started.elapsed(),
         per_tile,
     };
     Ok((outputs, report))
-}
-
-/// Runs one band against the full in-core input.
-fn execute_tile<K: RowKernel + ?Sized>(
-    tile: &Tile,
-    offsets: &[Point],
-    input: &InputGrid<'_>,
-    kernel: &K,
-    out: &mut [f64],
-) -> Result<TileReport, EngineError> {
-    let tile_started = Instant::now();
-    let idx = tile
-        .iter_domain
-        .index()
-        .map_err(|e| EngineError::Plan(e.into()))?;
-    let win = RankWindow {
-        idx: input.index(),
-        vals: input.values(),
-        base: 0,
-    };
-    let stats = execute_rows(idx.rows(), 0, offsets, &win, kernel, out)?;
-
-    Ok(TileReport {
-        id: tile.id,
-        outputs: tile.len,
-        halo_elements: tile
-            .halo_domain
-            .count()
-            .map_err(|e| EngineError::Plan(e.into()))?,
-        sweep_rows: stats.sweep,
-        fast_rows: stats.fast,
-        gather_rows: stats.gather,
-        elapsed: tile_started.elapsed(),
-    })
 }
 
 fn inconsistent_row(row: &Row, out_base: u64) -> EngineError {

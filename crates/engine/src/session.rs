@@ -12,7 +12,7 @@
 //!     .kernel(SessionKernel::..)       // datapath: closure or compiled
 //!     .backend(KernelBackend::..)      // how compiled kernels execute
 //!     .mode(ExecMode::..)              // in-core / tiled / streaming
-//!     .threads(n)                      // in-core band workers
+//!     .threads(n)                      // in-core row-run workers
 //!     .run(&input)                     // or .run_streaming(src, sink)
 //! ```
 //!
@@ -91,10 +91,14 @@ use crate::unroll::UnrolledProgram;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
     /// Whole grids in RAM; band count follows the plan's off-chip
-    /// stream sharding (Appendix 9.4).
+    /// stream sharding (Appendix 9.4). Each band is cut into row runs
+    /// shared by [`Session::threads`] workers, so a one-stream plan's
+    /// single band still runs on every worker.
     #[default]
     InCore,
-    /// Whole grids in RAM with an explicit band count.
+    /// Whole grids in RAM with an explicit band count; the bands'
+    /// row runs are shared by [`Session::threads`] workers as in
+    /// [`ExecMode::InCore`].
     Tiled {
         /// Number of row bands (clamped to at least 1).
         tiles: usize,
@@ -431,7 +435,9 @@ pub struct Session<'a> {
     unroll: usize,
     /// Arithmetic width of compiled sweeps.
     datapath: Datapath,
-    tile_plan: Option<&'a TilePlan>,
+    /// The explicit stage-0 band schedule of [`Session::tile_plan`],
+    /// wrapped once so its band indexes and halo counts are cached.
+    tile_plan: Option<Arc<BandSchedule>>,
     label: Option<String>,
     /// `Some(T)` when the stages form a [`Session::iterate`] ring.
     iterate_steps: Option<usize>,
@@ -531,8 +537,12 @@ impl<'a> Session<'a> {
         self
     }
 
-    /// Sets the worker thread count (`0` = machine parallelism) for
-    /// in-core bands. Streaming bands run on the calling thread.
+    /// Sets the worker thread count (`0` = machine parallelism) of the
+    /// in-core modes. Every band is cut into row runs that this many
+    /// workers share — the calling thread is one of them — so the count
+    /// applies even when the plan has a single band; a run never uses
+    /// more workers than it has row runs. Streaming bands run on the
+    /// calling thread.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -595,7 +605,7 @@ impl<'a> Session<'a> {
     /// schedule from the mode's `chunk_rows`).
     #[must_use]
     pub fn tile_plan(mut self, tile_plan: &'a TilePlan) -> Self {
-        self.tile_plan = Some(tile_plan);
+        self.tile_plan = Some(Arc::new(BandSchedule::new(tile_plan.clone())));
         self
     }
 
@@ -907,8 +917,19 @@ impl<'a> Session<'a> {
                         got: input.index().len(),
                     });
                 }
+                // Presized to the last stage's output count: the sink
+                // never regrows while the stages stream into it.
+                let outputs = self
+                    .last_stage()?
+                    .plan
+                    .get()
+                    .iteration_domain()
+                    .count()
+                    .map_err(|e| EngineError::Plan(e.into()))?;
                 let mut source = SliceSource::new(input.values());
-                let mut sink = VecSink::new();
+                let mut sink = VecSink {
+                    values: Vec::with_capacity(to_usize(outputs)?),
+                };
                 let report = self.stream_into(&mut source, &mut sink, chunk_rows)?;
                 Ok(SessionRun {
                     outputs: sink.values,
@@ -1012,16 +1033,12 @@ impl<'a> Session<'a> {
         for (i, stage) in self.stages.iter().enumerate() {
             let sp = self.resolve(stage)?;
             let plan = sp.plan;
-            let sched;
-            let tile_plan = match (i, self.tile_plan) {
-                (0, Some(tp)) => tp,
-                _ => {
-                    sched = stage.tiles(
-                        TileKey::Bands(self.bands_for(plan)),
-                        Some(&self.tiles_built),
-                    )?;
-                    &sched.tiles
-                }
+            let sched = match (i, &self.tile_plan) {
+                (0, Some(tp)) => Arc::clone(tp),
+                _ => stage.tiles(
+                    TileKey::Bands(self.bands_for(plan)),
+                    Some(&self.tiles_built),
+                )?,
             };
             // In core, a stage's whole input grid is resident.
             let stage_peak = plan
@@ -1031,28 +1048,14 @@ impl<'a> Session<'a> {
             peak += stage_peak;
             stage_peaks.push(stage_peak);
             let (outputs, report) = if i == 0 {
-                execute_tiled(
-                    plan,
-                    tile_plan,
-                    input,
-                    &*sp.kernel,
-                    self.threads,
-                    sp.backend,
-                )?
+                execute_tiled(plan, &sched, input, &*sp.kernel, self.threads, sp.backend)?
             } else {
                 let idx = plan
                     .input_domain()
                     .index()
                     .map_err(|e| EngineError::Plan(e.into()))?;
                 let grid = InputGrid::new(&idx, &cur)?;
-                execute_tiled(
-                    plan,
-                    tile_plan,
-                    &grid,
-                    &*sp.kernel,
-                    self.threads,
-                    sp.backend,
-                )?
+                execute_tiled(plan, &sched, &grid, &*sp.kernel, self.threads, sp.backend)?
             };
             threads_used = threads_used.max(report.threads);
             stage_reports.push(StageReport {
@@ -1269,23 +1272,17 @@ impl<'a> Session<'a> {
 
         for k in 1..=max_steps {
             let plan = derived.as_ref().unwrap_or(base_plan);
-            let sched: Arc<BandSchedule>;
-            let tp_owned: TilePlan;
-            let tile_plan: &TilePlan = match (k, self.tile_plan) {
-                (1, Some(tp)) => tp,
-                (1, None) => {
-                    sched = stage.tiles(
-                        TileKey::Bands(self.bands_for(plan)),
-                        Some(&self.tiles_built),
-                    )?;
-                    &sched.tiles
-                }
+            let sched = match (k, &self.tile_plan) {
+                (1, Some(tp)) => Arc::clone(tp),
+                (1, None) => stage.tiles(
+                    TileKey::Bands(self.bands_for(plan)),
+                    Some(&self.tiles_built),
+                )?,
                 _ => {
                     // Derived step plans are fresh objects; their band
                     // schedules are inherently built per executed step.
                     self.tiles_built.set(self.tiles_built.get() + 1);
-                    tp_owned = plan.tile_plan(self.bands_for(plan))?;
-                    &tp_owned
+                    Arc::new(BandSchedule::new(plan.tile_plan(self.bands_for(plan))?))
                 }
             };
             let in_idx = plan
@@ -1293,10 +1290,10 @@ impl<'a> Session<'a> {
                 .index()
                 .map_err(|e| EngineError::Plan(e.into()))?;
             let (outputs, report) = if k == 1 {
-                execute_tiled(plan, tile_plan, input, &*kernel, self.threads, backend)?
+                execute_tiled(plan, &sched, input, &*kernel, self.threads, backend)?
             } else {
                 let grid = InputGrid::new(&in_idx, &cur_vals)?;
-                execute_tiled(plan, tile_plan, &grid, &*kernel, self.threads, backend)?
+                execute_tiled(plan, &sched, &grid, &*kernel, self.threads, backend)?
             };
             let out_idx = plan
                 .iteration_domain()

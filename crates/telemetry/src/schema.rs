@@ -244,7 +244,8 @@ pub struct TileMetrics {
     pub fast_rows: u64,
     /// Rows that fell back to per-point gathers.
     pub gather_rows: u64,
-    /// Wall-clock nanoseconds the band's worker spent.
+    /// Wall-clock nanoseconds from the start of the band's first row
+    /// run to the end of its last.
     pub elapsed_ns: u64,
 }
 
@@ -288,7 +289,8 @@ pub struct EngineMetrics {
     pub outputs: u64,
     /// Bands executed.
     pub tiles: usize,
-    /// Worker threads used.
+    /// Workers that ran the bands' row runs, the calling thread
+    /// included.
     pub threads: usize,
     /// Kernel backend that executed the datapath (`"compiled"` for the
     /// register-program row sweep, `"closure"` otherwise).

@@ -39,7 +39,8 @@
 //!   observed peak stayed within the planned T×halo budget, and a
 //!   converged run's final max-abs delta actually fell to epsilon.
 //! * [`BoundCheck::StageTiming`] — each pipeline stage's own elapsed
-//!   time fits within the session's wall time.
+//!   time fits within the session's wall time, and each band's wall
+//!   span fits within its engine run.
 //! * [`BoundCheck::GridIoConsistent`] — a session's grid-I/O block is
 //!   internally consistent: mapped values imply mapped bytes and fit
 //!   within them, and the output sink was finalized (flushed).
@@ -82,7 +83,8 @@ pub enum BoundCheck {
     IterateResidency,
     /// Session pipeline: every stage's own elapsed time (its streaming
     /// busy time or its in-core run time) is at most the session's
-    /// wall time.
+    /// wall time, and every band's elapsed time (the wall span of its
+    /// row runs) is at most its engine run's.
     StageTiming,
     /// Grid I/O accounting is internally consistent: a run that mapped
     /// zero bytes claims no mapped values, mapped values fit within the
@@ -392,6 +394,7 @@ pub fn validate_report(report: &MetricsReport) -> Vec<BoundViolation> {
             );
         }
         check_sweep_shape(e.unroll, &e.datapath, &e.backend, "engine", &mut v);
+        check_band_timing(e, "engine", &mut v);
     }
     if let Some(s) = &report.stream {
         // The streaming backend's defining promise: only one band's
@@ -537,6 +540,22 @@ fn validate_service(s: &crate::schema::ServiceMetrics, v: &mut Vec<BoundViolatio
 /// declared backend matches what its sub-report actually ran, no
 /// stage's own elapsed time exceeds the session's wall time, and
 /// adjacent streaming stages conserve the rows flowing between them.
+/// A band's elapsed time is the wall span of its row runs inside the
+/// engine run, so no band can outlast the run that contains it.
+fn check_band_timing(e: &crate::schema::EngineMetrics, loc: &str, v: &mut Vec<BoundViolation>) {
+    for t in e.per_tile.iter().filter(|t| t.elapsed_ns > e.elapsed_ns) {
+        violation(
+            v,
+            BoundCheck::StageTiming,
+            loc,
+            format!(
+                "band {} elapsed {} ns exceeds its engine run's {} ns",
+                t.id, t.elapsed_ns, e.elapsed_ns
+            ),
+        );
+    }
+}
+
 fn validate_session(s: &crate::schema::SessionMetrics, v: &mut Vec<BoundViolation>) {
     if s.peak_resident > s.resident_bound {
         violation(
@@ -670,6 +689,7 @@ fn validate_session(s: &crate::schema::SessionMetrics, v: &mut Vec<BoundViolatio
                 );
             }
             check_sweep_shape(em.unroll, &em.datapath, &em.backend, &loc, v);
+            check_band_timing(em, &loc, v);
         }
         // A chained streaming stage consumes exactly what its upstream
         // stage produced — no intermediate grid materializes, so any
@@ -1471,6 +1491,73 @@ mod tests {
         });
         let v = validate_report(&report);
         assert!(v.iter().any(|x| x.check == BoundCheck::OutputsComplete));
+    }
+
+    #[test]
+    fn band_outlasting_its_engine_run_is_flagged() {
+        use crate::schema::{SessionMetrics, StageMetrics};
+        // Two bands, each spanning its row runs: the second band's span
+        // reaches past the run that contains it.
+        let band = |id: usize, elapsed_ns: u64| TileMetrics {
+            id,
+            outputs: 5,
+            halo_elements: 8,
+            sweep_rows: 0,
+            fast_rows: 1,
+            gather_rows: 0,
+            elapsed_ns,
+        };
+        let engine = EngineMetrics {
+            outputs: 10,
+            tiles: 2,
+            threads: 2,
+            backend: "closure".into(),
+            unroll: 1,
+            datapath: "f64".into(),
+            halo_elements: 16,
+            elapsed_ns: 40,
+            throughput: 1.0,
+            per_tile: vec![band(0, 40), band(1, 41)],
+        };
+        let mut report = MetricsReport::new("x");
+        report.engine = Some(engine.clone());
+        report.session = Some(SessionMetrics {
+            mode: "tiled".into(),
+            threads: 2,
+            outputs: 10,
+            peak_resident: 16,
+            resident_bound: 16,
+            elapsed_ns: 50,
+            throughput: 1.0,
+            tile_plans_built: 0,
+            iterate: None,
+            grid_io: None,
+            stages: vec![StageMetrics {
+                label: "s1".into(),
+                backend: "closure".into(),
+                window_taps: 5,
+                window_rows: 3,
+                resident_bound: 16,
+                engine: Some(engine),
+                stream: None,
+            }],
+        });
+        let v = validate_report(&report);
+        assert_eq!(v.len(), 2, "{v:?}");
+        assert!(v.iter().all(
+            |x| x.check == BoundCheck::StageTiming && x.detail.contains("band 1 elapsed 41 ns")
+        ));
+        assert!(v.iter().any(|x| x.location == "engine"));
+        assert!(v.iter().any(|x| x.location.contains("stage 0")));
+
+        report.engine.as_mut().unwrap().per_tile[1].elapsed_ns = 40;
+        report.session.as_mut().unwrap().stages[0]
+            .engine
+            .as_mut()
+            .unwrap()
+            .per_tile[1]
+            .elapsed_ns = 40;
+        assert_eq!(validate_report(&report), Vec::new());
     }
 
     fn clean_service() -> crate::schema::ServiceMetrics {

@@ -13,10 +13,12 @@
 //!
 //! Any divergence between the three is a bug in one of them.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+
 use stencil_core::MemorySystemPlan;
 use stencil_engine::{
-    CompiledKernel, ExecMode, InputGrid, KernelBackend, Session, SessionKernel, SliceSource,
-    VecSink,
+    CompiledKernel, Datapath, ExecMode, InputGrid, KernelBackend, Session, SessionKernel,
+    SessionRun, SliceSource, VecSink,
 };
 use stencil_kernels::{accelerate, paper_suite, run_golden, Benchmark, GridValues};
 use stencil_polyhedral::Polyhedron;
@@ -361,5 +363,301 @@ fn skewed_grid_stays_exact_and_batched() {
         let report = run.report.stages[0].engine.as_ref().expect("engine report");
         let gathers: u64 = report.per_tile.iter().map(|t| t.gather_rows).sum();
         assert_eq!(gathers, 0, "convex halos keep every row on the fast path");
+    }
+}
+
+// ---------------------------------------------------------------------
+// In-core row runs: a band is cut into row runs shared by every worker,
+// and the cut never shows in the outputs.
+// ---------------------------------------------------------------------
+
+/// Worker counts covering one worker, an even split, an odd split, and
+/// more workers than some grids have rows.
+const WORKERS: [usize; 4] = [1, 2, 3, 8];
+
+/// Extents per dimension count: rows that are not a multiple of the
+/// unroll factor or of the run count, and a grid with fewer iteration
+/// rows than workers.
+fn row_run_extents(dims: usize) -> [Vec<i64>; 2] {
+    match dims {
+        2 => [vec![19, 23], vec![5, 9]],
+        _ => [vec![9, 10, 11], vec![4, 5, 6]],
+    }
+}
+
+/// One compiled in-core run of `plan`.
+fn compiled_incore(
+    plan: &MemorySystemPlan,
+    kernel: &CompiledKernel,
+    input: &InputGrid<'_>,
+    mode: ExecMode,
+    threads: usize,
+    unroll: usize,
+    datapath: Datapath,
+) -> SessionRun {
+    Session::new(plan)
+        .kernel(SessionKernel::Compiled(kernel))
+        .mode(mode)
+        .threads(threads)
+        .unroll(unroll)
+        .datapath(datapath)
+        .run(input)
+        .expect("compiled in-core run")
+}
+
+#[test]
+fn incore_row_runs_are_bit_identical_at_every_worker_count_and_unroll() {
+    for bench in [stencil_kernels::denoise(), stencil_kernels::denoise_3d()] {
+        let kernel = CompiledKernel::for_benchmark(&bench)
+            .expect("compile")
+            .expect("expression");
+        for extents in row_run_extents(bench.dims()) {
+            let grid = test_grid(&extents);
+            let golden = run_golden(&bench, &extents, &grid).expect("golden");
+            let spec = bench.spec_for(&extents).expect("spec");
+            let plan = MemorySystemPlan::generate(&spec).expect("plan");
+            let sharded = plan.with_offchip_streams(2).expect("2-stream plan");
+            for (plan, mode, bands) in [
+                (&plan, ExecMode::InCore, 1),
+                (&plan, ExecMode::Tiled { tiles: 3 }, 3),
+                (&sharded, ExecMode::InCore, 2),
+            ] {
+                let in_idx = plan.input_domain().index().expect("input index");
+                let in_vals = input_values(plan, &grid);
+                let input = InputGrid::new(&in_idx, &in_vals).expect("input");
+                let rows = plan
+                    .iteration_domain()
+                    .index()
+                    .expect("iteration index")
+                    .rows()
+                    .len() as u64;
+                for unroll in [1usize, 4] {
+                    let one =
+                        compiled_incore(plan, &kernel, &input, mode, 1, unroll, Datapath::F64);
+                    let tag = format!("{} {extents:?} {mode:?} U={unroll}", bench.name());
+                    assert_eq!(one.outputs, golden, "{tag}: threads(1) vs golden");
+                    for threads in WORKERS {
+                        let run = compiled_incore(
+                            plan,
+                            &kernel,
+                            &input,
+                            mode,
+                            threads,
+                            unroll,
+                            Datapath::F64,
+                        );
+                        assert_eq!(run.outputs, one.outputs, "{tag} threads={threads}");
+                        let engine = run.report.stages[0].engine.as_ref().expect("engine");
+                        assert!(engine.tiles >= 1 && engine.tiles <= bands, "{tag}");
+                        assert!(engine.threads >= 1 && engine.threads <= threads, "{tag}");
+                        // Every iteration row ran in exactly one row run.
+                        let ran: u64 = engine
+                            .per_tile
+                            .iter()
+                            .map(|t| t.sweep_rows + t.fast_rows + t.gather_rows)
+                            .sum();
+                        assert_eq!(ran, rows, "{tag} threads={threads}");
+                        assert!(
+                            engine.per_tile.iter().all(|t| t.elapsed <= engine.elapsed),
+                            "{tag}: a band outlasted its run"
+                        );
+                        if unroll == 1 {
+                            // The closure datapath's per-element rows.
+                            let closure = engine_outputs(&bench, plan, &grid, mode, threads);
+                            assert_eq!(closure, golden, "{tag} closure threads={threads}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn incore_f32_row_runs_match_the_one_thread_f32_run() {
+    for bench in [stencil_kernels::denoise(), stencil_kernels::denoise_3d()] {
+        let kernel = CompiledKernel::for_benchmark(&bench)
+            .expect("compile")
+            .expect("expression");
+        for extents in row_run_extents(bench.dims()) {
+            let grid = test_grid(&extents);
+            let spec = bench.spec_for(&extents).expect("spec");
+            let plan = MemorySystemPlan::generate(&spec).expect("plan");
+            let in_idx = plan.input_domain().index().expect("input index");
+            let in_vals = input_values(&plan, &grid);
+            let input = InputGrid::new(&in_idx, &in_vals).expect("input");
+            for mode in [ExecMode::InCore, ExecMode::Tiled { tiles: 3 }] {
+                for unroll in [1usize, 4] {
+                    let one =
+                        compiled_incore(&plan, &kernel, &input, mode, 1, unroll, Datapath::F32);
+                    for threads in WORKERS {
+                        let run = compiled_incore(
+                            &plan,
+                            &kernel,
+                            &input,
+                            mode,
+                            threads,
+                            unroll,
+                            Datapath::F32,
+                        );
+                        let same = run
+                            .outputs
+                            .iter()
+                            .zip(&one.outputs)
+                            .all(|(a, b)| a.to_bits() == b.to_bits());
+                        assert!(
+                            same && run.outputs.len() == one.outputs.len(),
+                            "{} {extents:?} {mode:?} U={unroll} threads={threads}: f32 \
+                             row runs differ from the one-thread f32 run",
+                            bench.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn incore_iterate_ring_row_runs_match_one_thread_and_sequential_steps() {
+    const STEPS: usize = 3;
+    let bench = stencil_kernels::denoise();
+    let kernel = CompiledKernel::for_benchmark(&bench)
+        .expect("compile")
+        .expect("expression");
+    let compute = bench.compute_fn();
+    let extents = [21i64, 23];
+    let grid = test_grid(&extents);
+    let spec = bench.spec_for(&extents).expect("spec");
+    let plan = MemorySystemPlan::generate(&spec).expect("plan");
+    let in_idx = plan.input_domain().index().expect("input index");
+    let in_vals = input_values(&plan, &grid);
+    let input = InputGrid::new(&in_idx, &in_vals).expect("input");
+
+    // Sequential reference: each step materialised, one worker, the
+    // closure datapath; step 1 is the golden executor's output.
+    let mut expected = Session::new(&plan)
+        .kernel(SessionKernel::Closure(&compute))
+        .threads(1)
+        .run(&input)
+        .expect("step 1")
+        .outputs;
+    assert_eq!(
+        expected,
+        run_golden(&bench, &extents, &grid).expect("golden")
+    );
+    let mut step_plan = plan.clone();
+    for k in 1..STEPS {
+        let next = step_plan
+            .chain_next(format!("t{}", k + 1), bench.window())
+            .expect("chained plan");
+        let idx = next.input_domain().index().expect("input index");
+        let grid = InputGrid::new(&idx, &expected).expect("intermediate");
+        expected = Session::new(&next)
+            .kernel(SessionKernel::Closure(&compute))
+            .threads(1)
+            .run(&grid)
+            .expect("step")
+            .outputs;
+        step_plan = next;
+    }
+
+    for unroll in [1usize, 4] {
+        for threads in WORKERS {
+            let run = Session::new(&plan)
+                .kernel(SessionKernel::Compiled(&kernel))
+                .threads(threads)
+                .unroll(unroll)
+                .iterate(STEPS)
+                .expect("iterate ring")
+                .run(&input)
+                .expect("iterate run");
+            assert_eq!(
+                run.outputs, expected,
+                "iterate ring U={unroll} threads={threads}"
+            );
+            let until = Session::new(&plan)
+                .kernel(SessionKernel::Compiled(&kernel))
+                .threads(threads)
+                .unroll(unroll)
+                .iterate_until(&input, 0.0, STEPS)
+                .expect("iterate_until run");
+            assert_eq!(
+                until.outputs, expected,
+                "iterate_until U={unroll} threads={threads}"
+            );
+        }
+    }
+}
+
+#[test]
+fn default_single_band_incore_run_uses_every_requested_worker() {
+    let bench = stencil_kernels::denoise();
+    let extents = [40i64, 48];
+    let grid = test_grid(&extents);
+    let spec = bench.spec_for(&extents).expect("spec");
+    let plan = MemorySystemPlan::generate(&spec).expect("plan");
+    assert_eq!(plan.offchip_streams(), 1, "a generated plan has one stream");
+    let in_idx = plan.input_domain().index().expect("input index");
+    let in_vals = input_values(&plan, &grid);
+    let input = InputGrid::new(&in_idx, &in_vals).expect("input");
+    let compute = bench.compute_fn();
+    let run = Session::new(&plan)
+        .kernel(SessionKernel::Closure(&compute))
+        .threads(2)
+        .run(&input)
+        .expect("in-core run");
+    let engine = run.report.stages[0].engine.as_ref().expect("engine");
+    assert_eq!(engine.tiles, 1, "bands still follow the off-chip streams");
+    assert_eq!(
+        engine.threads, 2,
+        "the one band is split across both workers"
+    );
+    assert_eq!(run.report.threads, 2);
+    assert_eq!(engine.per_tile.len(), 1);
+    assert_eq!(engine.halo_elements, in_idx.len());
+    assert!(engine.per_tile[0].elapsed <= engine.elapsed);
+}
+
+#[test]
+fn panic_in_the_callers_own_row_run_is_a_worker_panic() {
+    let bench = stencil_kernels::denoise();
+    let extents = [96i64, 128];
+    let grid = test_grid(&extents);
+    let spec = bench.spec_for(&extents).expect("spec");
+    let plan = MemorySystemPlan::generate(&spec).expect("plan");
+    let in_idx = plan.input_domain().index().expect("input index");
+    let in_vals = input_values(&plan, &grid);
+    let input = InputGrid::new(&in_idx, &in_vals).expect("input");
+    // Only the calling thread's row runs panic. A helper holds its
+    // first window until the caller has taken a run of its own, so the
+    // helpers cannot drain the queue first.
+    let caller = std::thread::current().id();
+    let caller_ran = AtomicBool::new(false);
+    let boom = |w: &[f64]| -> f64 {
+        if std::thread::current().id() == caller {
+            caller_ran.store(true, Ordering::Release);
+            panic!("datapath bug");
+        }
+        while !caller_ran.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+        w[0]
+    };
+    for mode in [ExecMode::InCore, ExecMode::Tiled { tiles: 2 }] {
+        for threads in [1usize, 2] {
+            caller_ran.store(false, Ordering::Release);
+            let e = Session::new(&plan)
+                .kernel(SessionKernel::Closure(&boom))
+                .mode(mode)
+                .threads(threads)
+                .run(&input)
+                .unwrap_err();
+            assert_eq!(
+                e,
+                stencil_engine::EngineError::WorkerPanic,
+                "mode={mode:?} threads={threads}"
+            );
+        }
     }
 }

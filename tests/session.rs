@@ -420,3 +420,33 @@ fn chained_stages_report_their_own_busy_time() {
     metrics.session = Some(report.metrics());
     assert_eq!(stencil_telemetry::validate_report(&metrics), Vec::new());
 }
+
+#[test]
+fn streaming_run_collects_into_a_presized_vec() {
+    let bench = denoise();
+    let spec = bench.spec_for(&[96, 128]).expect("spec");
+    let plan = MemorySystemPlan::generate(&spec).expect("plan");
+    let in_idx = plan.input_domain().index().expect("input index");
+    let in_vals = input_values(in_idx.len());
+    let input = InputGrid::new(&in_idx, &in_vals).expect("sized input");
+    let compute = bench.compute_fn();
+    let expected = Session::new(&plan)
+        .kernel(SessionKernel::Closure(&compute))
+        .run(&input)
+        .expect("in-core run")
+        .outputs;
+    for chunk_rows in [Some(7), Some(64), None] {
+        let run = Session::new(&plan)
+            .kernel(SessionKernel::Closure(&compute))
+            .mode(ExecMode::Streaming { chunk_rows })
+            .run(&input)
+            .expect("streaming run");
+        assert_eq!(run.outputs, expected, "chunk_rows={chunk_rows:?}");
+        // Sized once from the plan's output count: never regrown.
+        assert_eq!(
+            run.outputs.capacity(),
+            run.outputs.len(),
+            "chunk_rows={chunk_rows:?}"
+        );
+    }
+}
